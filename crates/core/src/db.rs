@@ -967,7 +967,7 @@ impl DatabaseBuilder {
             snapshots: Arc::new(SnapshotRegistry::new()),
             watermark: Arc::new(CachePadded::new(AtomicU64::new(0))),
             txn_ids: Arc::new(CachePadded::new(AtomicU64::new(1))),
-            horizon: Arc::new(DurabilityHorizon::new()),
+            horizon: Arc::new(DurabilityHorizon::new(Arc::new([]))),
             options: DbOptions {
                 epoch_commits: self.options.epoch_commits.max(1),
                 ..self.options

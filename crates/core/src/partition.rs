@@ -457,7 +457,7 @@ impl PartitionedDbBuilder {
         let snapshots = Arc::new(SnapshotRegistry::new());
         let watermark = Arc::new(CachePadded::new(AtomicU64::new(0)));
         let txn_ids = Arc::new(CachePadded::new(AtomicU64::new(1)));
-        let horizon = Arc::new(crate::wal::DurabilityHorizon::new());
+        let horizon = Arc::new(crate::wal::DurabilityHorizon::new(Arc::clone(&wals)));
         let options = DbOptions {
             epoch_commits: self.options.epoch_commits.max(1),
             ..self.options

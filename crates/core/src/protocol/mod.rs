@@ -28,7 +28,7 @@ pub use silo::SiloProtocol;
 
 use crate::db::Database;
 use crate::txn::{Abort, TxnCtx};
-use crate::wal::{DurabilityTicket, WalHandle, WalWrite};
+use crate::wal::{DurabilityTicket, GroupEnds, LogMark, WalHandle, WalWrite};
 
 /// A pluggable concurrency-control protocol.
 ///
@@ -199,10 +199,16 @@ pub(crate) fn apply_inserts(db: &Database, ctx: &mut TxnCtx) {
 /// on the global [`crate::wal::DurabilityHorizon`] — after the *last*
 /// append succeeded and before anything installs, the ordering that keeps
 /// the commit clock's stable point from passing an unregistered committed
-/// transaction — and returns a [`DurabilityTicket`] carrying the end LSN
-/// of every per-partition group. The session parks on the ticket before
-/// acknowledging (`Session` ack path); the protocols just thread it from
-/// here into [`TxnCtx::durability`](crate::txn::TxnCtx).
+/// transaction — together with the end mark of every per-partition group,
+/// which is what the horizon checks coverage against. It returns a
+/// [`DurabilityTicket`] carrying the same marks. The session parks on the
+/// ticket before acknowledging (`Session` ack path); the protocols just
+/// thread it from here into [`TxnCtx::durability`](crate::txn::TxnCtx).
+///
+/// A monolithic database has no partition table for the horizon to read
+/// watermarks from, so when its session is bound to a durable
+/// group-commit handle the commit waits for the batch fsync here, before
+/// installing, and carries no ticket.
 ///
 /// ## Failure semantics
 ///
@@ -230,13 +236,15 @@ pub(crate) fn log_commit(
         db.options().fsync_policy,
         bamboo_storage::FsyncPolicy::GroupCommit { .. }
     );
-    let ticket = |parts: Vec<(u32, bamboo_storage::log::Lsn)>| {
+    let ticket = |parts: Vec<(u32, LogMark)>| {
         if parts.is_empty() {
             None
         } else {
             // Register after every append succeeded, before the caller
             // installs: see the horizon's type-level invariant.
-            db.durability_horizon().register(ctx.commit_ts);
+            let parts: GroupEnds = parts.into();
+            db.durability_horizon()
+                .register(ctx.commit_ts, std::sync::Arc::clone(&parts));
             Some(DurabilityTicket {
                 commit_ts: ctx.commit_ts,
                 parts,
@@ -275,7 +283,7 @@ pub(crate) fn log_commit(
             updates(ctx).chain(inserts(ctx)),
         )?;
         if ticketing && !ga.durable {
-            return Ok(ticket(vec![(0, ga.end_lsn)]));
+            wal.wait_covered(ga.end)?;
         }
         return Ok(None);
     };
@@ -314,7 +322,7 @@ pub(crate) fn log_commit(
             updates(ctx).chain(inserts(ctx)),
         )?;
         if ticketing && !ga.durable {
-            return Ok(ticket(vec![(p.idx() as u32, ga.end_lsn)]));
+            return Ok(ticket(vec![(p.idx() as u32, ga.end)]));
         }
         return Ok(None);
     }
@@ -353,7 +361,7 @@ pub(crate) fn log_commit(
     // Ascending partition-id order: the fixed acquisition order of the
     // commit-ordering contract.
     let mut last: Option<usize> = None;
-    let mut ends: Vec<(u32, bamboo_storage::log::Lsn)> = Vec::new();
+    let mut ends: Vec<(u32, LogMark)> = Vec::new();
     for (p, group) in groups.iter_mut().enumerate() {
         if group.is_empty() {
             continue;
@@ -366,7 +374,7 @@ pub(crate) fn log_commit(
         let ga =
             topo.wals[p].append_txn(ctx.shared.id, ctx.commit_ts, parts_mask, group.drain(..))?;
         if ticketing && !ga.durable {
-            ends.push((p as u32, ga.end_lsn));
+            ends.push((p as u32, ga.end));
         }
     }
     Ok(ticket(ends))

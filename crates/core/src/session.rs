@@ -319,41 +319,26 @@ impl Session {
     /// horizon reaches the commit's timestamp — the point at which *every*
     /// commit the acknowledged state could depend on is durable, which is
     /// what makes the acknowledgment crash-safe under early lock release.
+    /// While an older commit holds the horizon back, this call drives that
+    /// commit's batch fsyncs itself (see
+    /// [`DurabilityHorizon::acknowledge`](crate::wal::DurabilityHorizon)).
     ///
-    /// Every ticket returned by [`Txn::commit_deferred`] **must** be passed
-    /// here exactly once: an unacked ticket leaves its horizon registration
-    /// pending forever, wedging every later commit's acknowledgment behind
-    /// it. ([`Session::run`] and [`Session::run_many`] uphold this
-    /// internally.)
+    /// Pass every ticket returned by [`Txn::commit_deferred`] here to learn
+    /// whether its commit is durable. A dropped ticket wedges nothing — the
+    /// horizon counts its commit durable once the fsyncs cover it — but
+    /// its client never hears the outcome. ([`Session::run`] and
+    /// [`Session::run_many`] ack every ticket internally.)
     ///
     /// Returns `Err(Abort(DurabilityFailed))` when a batch fsync failed
-    /// after this commit installed: the partition is degraded, the commit
-    /// stands in memory but was never acknowledged, and crash recovery may
-    /// drop it (the post-heal sealing checkpoint closes the gap — see
-    /// `DURABILITY.md` "Group commit").
+    /// after this commit installed (or a heal replaced the writer before
+    /// one covered it): the commit stands in memory but was never
+    /// acknowledged, and crash recovery may drop it (the post-heal sealing
+    /// checkpoint closes the gap — see `DURABILITY.md` "Group commit").
     pub fn ack_ticket(&self, ticket: DurabilityTicket) -> Result<(), Abort> {
-        let horizon = self.db.durability_horizon();
-        let mut covered = true;
-        for &(p, lsn) in &ticket.parts {
-            let handle: &WalHandle = match self.db.topology() {
-                Some(t) => &t.wals[p as usize],
-                None => &self.wal,
-            };
-            if handle.wait_covered(lsn).is_err() {
-                covered = false;
-                break;
-            }
-        }
-        let stable = self.db.commit_clock.stable();
-        if !covered {
-            // Withdraw the registration so sibling acknowledgments are not
-            // wedged behind a hole that will never fill.
-            horizon.resolve(ticket.commit_ts, false, stable);
-            return Err(Abort(AbortReason::DurabilityFailed));
-        }
-        horizon.resolve(ticket.commit_ts, true, stable);
-        horizon.wait_acked(ticket.commit_ts, || self.db.commit_clock.stable());
-        Ok(())
+        self.db
+            .durability_horizon()
+            .acknowledge(ticket, || self.db.commit_clock.stable())
+            .map_err(|_| Abort(AbortReason::DurabilityFailed))
     }
 
     /// Runs a batch of specs with every group-commit acknowledgment
@@ -715,12 +700,12 @@ impl<'s> Txn<'s> {
     }
 
     /// Commits the transaction but defers the group-commit acknowledgment:
-    /// on success returns the [`DurabilityTicket`] the caller must later
-    /// pass to [`Session::ack_ticket`] (exactly once — see there), letting
-    /// a batch of transactions share the durability wait. `Ok(None)` means
-    /// the commit needed no deferred acknowledgment (any non-group-commit
-    /// policy). On failure the attempt is aborted internally, like
-    /// [`Txn::commit`].
+    /// on success returns the [`DurabilityTicket`] the caller later passes
+    /// to [`Session::ack_ticket`] to learn whether the commit is durable,
+    /// letting a batch of transactions share the durability wait.
+    /// `Ok(None)` means the commit needed no deferred acknowledgment (any
+    /// non-group-commit policy). On failure the attempt is aborted
+    /// internally, like [`Txn::commit`].
     pub fn commit_deferred(mut self) -> Result<Option<DurabilityTicket>, Abort> {
         self.defer_ack = true;
         match self.commit_in_place() {

@@ -32,17 +32,22 @@
 //! dependent's group always lands at a higher LSN than its writer's), then
 //! park on [`WalHandle::wait_covered`]: the first parked committer becomes
 //! the **leader**, waits a short accumulation window for more committers
-//! to join, and issues one `fsync` covering every group staged so far,
-//! advancing the per-partition `durable_lsn` watermark. The acknowledgment
+//! to join, and issues one `fsync` covering every group written so far,
+//! advancing the per-partition durability watermark. The leader holds the
+//! sink lock only to push the buffered bytes to the OS; the `fsync` runs
+//! unlocked, so appends keep landing behind it. The acknowledgment
 //! additionally waits on the process-wide [`DurabilityHorizon`] so that
 //! *every* commit with a lower timestamp is durable before the client
 //! hears `Ok` — that is what lets crash recovery's horizon cut keep every
-//! acknowledged commit (see `DURABILITY.md` "Group commit").
+//! acknowledged commit (see `DURABILITY.md` "Group commit"). The horizon
+//! reads coverage straight off the partitions' watermarks, so no
+//! committer waits for another committer's acknowledgment.
 
 use crate::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::io;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bamboo_storage::log::{
@@ -261,15 +266,48 @@ fn degraded_error(op: &'static str) -> IoFailure {
     )
 }
 
+/// Bits of a [`LogMark`] that hold the LSN; the writer generation sits
+/// above them.
+const MARK_LSN_BITS: u32 = 48;
+
+/// A position in one partition's log, tagged with the generation of the
+/// segment writer that wrote it. [`WalHandle::replace_writer`] starts a new
+/// generation, so a watermark published after a heal never covers bytes
+/// written before it (bytes whose fsync may have failed). Marks order by
+/// generation, then LSN, so `fetch_max` keeps a watermark monotone across
+/// heals and drops a retired generation's late publish.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub struct LogMark(u64);
+
+impl LogMark {
+    fn new(generation: u64, lsn: Lsn) -> Self {
+        assert!(
+            lsn >> MARK_LSN_BITS == 0 && generation >> (64 - MARK_LSN_BITS) == 0,
+            "log mark out of range: generation {generation}, lsn {lsn}"
+        );
+        LogMark(generation << MARK_LSN_BITS | lsn)
+    }
+
+    /// The LSN.
+    pub fn lsn(self) -> Lsn {
+        self.0 & ((1 << MARK_LSN_BITS) - 1)
+    }
+
+    /// The writer generation (0 until the first heal).
+    pub fn generation(self) -> u64 {
+        self.0 >> MARK_LSN_BITS
+    }
+}
+
 /// Outcome of one [`WalHandle::append_txn`].
 #[derive(Clone, Copy, Debug)]
 pub struct GroupAppend {
     /// True when every byte of the group is durable on return (always true
     /// for the ring, which has no crash story to promise).
     pub durable: bool,
-    /// LSN just past the group on this partition's log — the coverage
-    /// target a group-commit acknowledgment waits for. Zero on the ring.
-    pub end_lsn: Lsn,
+    /// Just past the group on this partition's log — the coverage target a
+    /// group-commit acknowledgment waits for. Zero on the ring.
+    pub end: LogMark,
 }
 
 /// Group-commit coordinator state: who is leading the current batch fsync
@@ -324,10 +362,15 @@ pub struct WalHandle {
     io_retries: AtomicU64,
     /// Permanent failures that degraded the handle.
     io_failures: AtomicU64,
-    /// LSN up to which this partition's log is known durable. Written only
-    /// under the sink lock (leader syncs and strong-policy appends), so
-    /// plain stores stay monotone.
-    durable_lsn: AtomicU64,
+    /// The durability watermark, a packed [`LogMark`]: the current writer
+    /// generation and the LSN up to which its log is known durable. Raised
+    /// only with `fetch_max` under the sink lock (a leader re-takes the
+    /// lock after its unlocked fsync), and moved to a new generation only
+    /// by `replace_writer`.
+    durable_mark: AtomicU64,
+    /// The final watermark LSN of every generation a heal retired, indexed
+    /// by generation; its length is the current generation.
+    retired: Mutex<Vec<Lsn>>,
     /// Batch fsyncs issued by group-commit leaders.
     group_fsyncs: AtomicU64,
     /// Group-commit coordinator state, guarded separately from the sink so
@@ -339,9 +382,9 @@ pub struct WalHandle {
 impl WalHandle {
     fn from_sink(sink: WalSink, degraded: bool) -> Self {
         let durable_kind = matches!(sink, WalSink::Durable { .. } | WalSink::Poisoned);
-        let durable_lsn = match &sink {
-            WalSink::Durable { writer, .. } => writer.synced_lsn(),
-            _ => 0,
+        let durable = match &sink {
+            WalSink::Durable { writer, .. } => LogMark::new(0, writer.synced_lsn()),
+            _ => LogMark(0),
         };
         WalHandle {
             sink: parking_lot::Mutex::new(sink),
@@ -349,7 +392,8 @@ impl WalHandle {
             durable_kind: AtomicBool::new(durable_kind),
             io_retries: AtomicU64::new(0),
             io_failures: AtomicU64::new(0),
-            durable_lsn: AtomicU64::new(durable_lsn),
+            durable_mark: AtomicU64::new(durable.0),
+            retired: Mutex::new(Vec::new()),
             group_fsyncs: AtomicU64::new(0),
             group: Mutex::new(GroupState::default()),
             group_cond: Condvar::new(),
@@ -418,20 +462,32 @@ impl WalHandle {
 
     /// Heals a degraded durable handle: installs `writer` (freshly opened —
     /// [`SegmentWriter::open`] already truncated any torn tail) and
-    /// re-admits writes. The commit-group count carries over. Ring handles
-    /// ignore the call.
+    /// re-admits writes. The commit-group count carries over.
+    ///
+    /// The fresh writer starts a new generation. Its watermark starts at
+    /// the end of the log it scanned, which may include bytes whose fsync
+    /// failed; a [`LogMark`] of the old generation is judged only against
+    /// the old generation's final watermark, so those bytes never count as
+    /// durable. (The LSN can move *backwards* across a heal: commits
+    /// beyond the old watermark were never acknowledged, so nothing is
+    /// retracted.)
     pub fn replace_writer(&self, writer: SegmentWriter) {
         let mut sink = self.sink.lock();
         let records = match &*sink {
             WalSink::Durable { records, .. } => *records,
             _ => 0,
         };
-        // The fresh writer resumes past the truncated tail; anything it
-        // scanned over is on disk, so the durability watermark restarts
-        // there. (It can move *backwards* across a heal: commits beyond the
-        // old watermark were never acknowledged, so nothing is retracted.)
-        self.durable_lsn
-            .store(writer.synced_lsn(), Ordering::Release);
+        {
+            // A reader that sees the new generation then reads `retired`,
+            // so push the old generation's final watermark while holding
+            // its lock. `swap`, not `fetch_max`: the old generation's last
+            // watermark is exactly what it held at this instant.
+            let mut retired = self.retired.lock();
+            let next = LogMark::new(retired.len() as u64 + 1, writer.synced_lsn());
+            let old = LogMark(self.durable_mark.swap(next.0, Ordering::AcqRel));
+            debug_assert_eq!(old.generation(), retired.len() as u64);
+            retired.push(old.lsn());
+        }
         *sink = WalSink::Durable {
             writer: Box::new(writer),
             records,
@@ -446,7 +502,9 @@ impl WalHandle {
     /// Records a permanent failure: counts it, degrades the handle, and
     /// forces the failure's class to permanent for the caller. Parked
     /// group-commit waiters observe the degrade within one bounded park
-    /// tick (`GROUP_PARK`) — no explicit wakeup is needed.
+    /// tick (`GROUP_PARK`) — no explicit wakeup is needed. An unlocked
+    /// leader fsync already in flight may still succeed and raise the
+    /// watermark afterwards: its bytes really are durable.
     fn fail(&self, f: IoFailure) -> IoFailure {
         self.io_failures.fetch_add(1, Ordering::Relaxed);
         self.degraded.store(true, Ordering::Release);
@@ -456,7 +514,52 @@ impl WalHandle {
     /// LSN up to which this partition's log is known durable (advanced by
     /// group-commit leader fsyncs and strong-policy commit boundaries).
     pub fn durable_lsn(&self) -> Lsn {
-        self.durable_lsn.load(Ordering::Acquire)
+        self.durable_mark().lsn()
+    }
+
+    fn durable_mark(&self) -> LogMark {
+        // ordering: Acquire pairs with the watermark's Release publishes —
+        // a covered reader must also observe the sink state that made it
+        // durable.
+        LogMark(self.durable_mark.load(Ordering::Acquire))
+    }
+
+    /// Raises the watermark to `lsn` in the current generation. Caller
+    /// holds the sink lock, which pins the generation. `fetch_max`, not a
+    /// store: an unlocked leader fsync publishes after re-taking the lock,
+    /// and a sync under the lock may have published further meanwhile.
+    fn publish_locked(&self, lsn: Lsn) {
+        let mark = LogMark::new(self.durable_mark().generation(), lsn);
+        // ordering: Release pairs with `durable_mark`'s Acquire load.
+        self.durable_mark.fetch_max(mark.0, Ordering::Release);
+    }
+
+    /// Whether the log is durable up to `mark`: `Ok(true)` when it is,
+    /// `Ok(false)` while a sync may still cover it, and an error when none
+    /// ever will — the handle is degraded, or a heal retired the mark's
+    /// generation before a sync covered it.
+    fn coverage(&self, mark: LogMark) -> Result<bool, IoFailure> {
+        let now = self.durable_mark();
+        if now.generation() == mark.generation() {
+            if now >= mark {
+                return Ok(true);
+            }
+            // Re-read after the flag: a sync may have covered the mark
+            // just before the degrade.
+            if self.is_degraded() && self.durable_mark() < mark {
+                return Err(degraded_error("group fsync"));
+            }
+            return Ok(false);
+        }
+        if self.retired.lock()[mark.generation() as usize] >= mark.lsn() {
+            Ok(true)
+        } else {
+            Err(IoFailure::with_class(
+                IoClass::Permanent,
+                "group fsync",
+                io::Error::other("partition WAL was healed before the group was durable"),
+            ))
+        }
     }
 
     /// Batch fsyncs issued by group-commit leaders on this handle.
@@ -464,28 +567,28 @@ impl WalHandle {
         self.group_fsyncs.load(Ordering::Relaxed)
     }
 
-    /// Parks until the partition's durability watermark covers `lsn` —
-    /// the group-commit coordinator.
+    /// Parks until the partition's durability watermark covers `mark` —
+    /// the group-commit coordinator. Any thread may call it for any mark:
+    /// the committer that wrote the group, or a horizon waiter driving an
+    /// older commit's fsync on its behalf.
     ///
     /// The fast path is one atomic load (a previous leader's fsync already
     /// covered us). Otherwise the caller joins the parked queue; the first
     /// to find no active leader **becomes** the leader: it waits up to the
     /// policy's `max_wait_us` for more committers to join (cut short once
     /// `max_batch` are parked, or as soon as arrivals stall — parked
-    /// committers' groups are already staged, so waiting longer only adds
-    /// latency), then issues ONE fsync covering every group staged so far
+    /// committers' groups are already written, so waiting longer only adds
+    /// latency), then issues ONE fsync covering every group written so far
     /// and publishes the new watermark. Followers re-check
     /// the watermark on bounded parks, so a lost wakeup or a concurrent
     /// degrade costs at most one `GROUP_PARK` tick.
     ///
-    /// Returns [`IoFailure`] when the handle degrades before the caller's
-    /// group is covered: the caller's commit is installed but not durable,
-    /// and must surface `DurabilityFailed` instead of acknowledging.
-    pub fn wait_covered(&self, lsn: Lsn) -> Result<(), IoFailure> {
-        // ordering: Acquire pairs with the watermark's Release store after
-        // a leader fsync — a covered reader must also observe the sink
-        // state that made it durable.
-        if self.durable_lsn.load(Ordering::Acquire) >= lsn {
+    /// Returns [`IoFailure`] when the mark can no longer be covered — the
+    /// handle degraded first, or a heal retired the mark's generation: the
+    /// commit is installed but not durable, and must surface
+    /// `DurabilityFailed` instead of acknowledging.
+    pub fn wait_covered(&self, mark: LogMark) -> Result<(), IoFailure> {
+        if self.coverage(mark)? {
             return Ok(());
         }
         let (max_batch, max_wait) = match self.fsync_policy() {
@@ -498,11 +601,8 @@ impl WalHandle {
         let mut announced = false;
         let mut state = self.group.lock();
         loop {
-            if self.durable_lsn.load(Ordering::Acquire) >= lsn {
+            if self.coverage(mark)? {
                 return Ok(());
-            }
-            if self.is_degraded() {
-                return Err(degraded_error("group fsync"));
             }
             if state.leader_active {
                 // Follower: park until the leader publishes (bounded, so a
@@ -522,7 +622,7 @@ impl WalHandle {
             // to the policy window, then sync once for everyone staged so
             // far. The short park quantum doubles as a stall detector: a
             // timeout with no new arrival means waiting longer only adds
-            // latency (every parked committer's group is already staged,
+            // latency (every parked committer's group is already written,
             // so the sync covers them regardless).
             state.leader_active = true;
             if !max_wait.is_zero() {
@@ -558,37 +658,43 @@ impl WalHandle {
         }
     }
 
-    /// One batch fsync on behalf of every parked committer: syncs the
-    /// durable sink (transient faults retried in place) and publishes the
-    /// new durability watermark. Permanent failure degrades the handle.
+    /// One batch fsync on behalf of every parked committer. The sink lock
+    /// covers only pushing the buffered bytes to the OS and reading the
+    /// LSN they end at; the fsync runs unlocked, so appends keep landing
+    /// behind it, and a success publishes the watermark up to that LSN.
+    /// Transient faults are retried; permanent failure degrades the
+    /// handle.
     fn sync_batch(&self) -> Result<(), IoFailure> {
-        match &mut *self.sink.lock() {
-            WalSink::Ring(_) => Ok(()),
-            WalSink::Poisoned => Err(degraded_error("group fsync")),
-            WalSink::Durable { writer, .. } => {
-                let mut attempt = 1;
-                loop {
-                    match writer.sync() {
-                        Ok(()) => {
-                            // ordering: Release publishes the watermark to
-                            // `wait_covered`'s fast-path Acquire load; the
-                            // store happens under the sink lock, so it is
-                            // monotone.
-                            self.durable_lsn
-                                .store(writer.synced_lsn(), Ordering::Release);
-                            return Ok(());
-                        }
-                        Err(e) => {
-                            let f = IoFailure::new("group fsync", e);
-                            if f.is_transient() && attempt < WAL_IO_ATTEMPTS {
-                                self.io_retries.fetch_add(1, Ordering::Relaxed);
-                                retry_backoff(attempt);
-                                attempt += 1;
-                                continue;
-                            }
-                            return Err(self.fail(f));
+        let mut attempt = 1;
+        loop {
+            let detached = match &mut *self.sink.lock() {
+                WalSink::Ring(_) => return Ok(()),
+                WalSink::Poisoned => return Err(degraded_error("group fsync")),
+                WalSink::Durable { writer, .. } => writer
+                    .detach_sync()
+                    .map(|(sync, lsn)| (sync, LogMark::new(self.durable_mark().generation(), lsn))),
+            };
+            match detached.and_then(|(sync, mark)| sync.sync_data().map(|()| mark)) {
+                Ok(mark) => {
+                    if let WalSink::Durable { writer, .. } = &mut *self.sink.lock() {
+                        // A heal may have swapped the writer meanwhile; the
+                        // old generation's late sync then publishes nothing.
+                        if self.durable_mark().generation() == mark.generation() {
+                            writer.mark_synced(mark.lsn());
+                            self.publish_locked(mark.lsn());
                         }
                     }
+                    return Ok(());
+                }
+                Err(e) => {
+                    let f = IoFailure::new("group fsync", e);
+                    if f.is_transient() && attempt < WAL_IO_ATTEMPTS {
+                        self.io_retries.fetch_add(1, Ordering::Relaxed);
+                        retry_backoff(attempt);
+                        attempt += 1;
+                        continue;
+                    }
+                    return Err(self.fail(f));
                 }
             }
         }
@@ -625,7 +731,7 @@ impl WalHandle {
     /// crash story to promise), `durable: false` when the group is written
     /// but the fsync policy deferred the barrier — under
     /// [`FsyncPolicy::GroupCommit`] the caller later parks on
-    /// [`WalHandle::wait_covered`] with the returned `end_lsn`.
+    /// [`WalHandle::wait_covered`] with the returned `end` mark.
     ///
     /// On a durable sink the whole framed group is encoded into a
     /// per-thread buffer *before* the sink lock is taken, so the lock
@@ -667,7 +773,7 @@ impl WalHandle {
                     );
                     Ok(GroupAppend {
                         durable: true,
-                        end_lsn: 0,
+                        end: LogMark(0),
                     })
                 }
                 WalSink::Poisoned => Err(degraded_error("wal append")),
@@ -748,7 +854,7 @@ impl WalHandle {
                     buf.records += 1;
                     Ok(GroupAppend {
                         durable: true,
-                        end_lsn: 0,
+                        end: LogMark(0),
                     })
                 }
                 WalSink::Poisoned => Err(degraded_error("wal append")),
@@ -803,15 +909,11 @@ impl WalHandle {
                 Ok(durable) => {
                     *records += 1;
                     if durable {
-                        // ordering: Release pairs with `wait_covered`'s
-                        // Acquire fast path; written under the sink lock,
-                        // so the plain store stays monotone.
-                        self.durable_lsn
-                            .store(writer.synced_lsn(), Ordering::Release);
+                        self.publish_locked(writer.synced_lsn());
                     }
                     return Ok(GroupAppend {
                         durable,
-                        end_lsn: writer.lsn(),
+                        end: LogMark::new(self.durable_mark().generation(), writer.lsn()),
                     });
                 }
                 Err(e) => {
@@ -873,8 +975,7 @@ impl WalHandle {
                 loop {
                     match writer.sync() {
                         Ok(()) => {
-                            self.durable_lsn
-                                .store(writer.synced_lsn(), Ordering::Release);
+                            self.publish_locked(writer.synced_lsn());
                             break;
                         }
                         Err(e) => {
@@ -901,32 +1002,7 @@ impl WalHandle {
         if self.is_degraded() {
             return Err(degraded_error("wal fsync"));
         }
-        match &mut *self.sink.lock() {
-            WalSink::Ring(_) => Ok(()),
-            WalSink::Poisoned => Err(degraded_error("wal fsync")),
-            WalSink::Durable { writer, .. } => {
-                let mut attempt = 1;
-                loop {
-                    match writer.sync() {
-                        Ok(()) => {
-                            self.durable_lsn
-                                .store(writer.synced_lsn(), Ordering::Release);
-                            return Ok(());
-                        }
-                        Err(e) => {
-                            let f = IoFailure::new("wal fsync", e);
-                            if f.is_transient() && attempt < WAL_IO_ATTEMPTS {
-                                self.io_retries.fetch_add(1, Ordering::Relaxed);
-                                retry_backoff(attempt);
-                                attempt += 1;
-                                continue;
-                            }
-                            return Err(self.fail(f));
-                        }
-                    }
-                }
-            }
-        }
+        self.sync_batch()
     }
 
     /// The sink's current end position: the next LSN on a durable sink,
@@ -974,18 +1050,26 @@ impl Default for WalHandle {
     }
 }
 
+/// `(partition index, end mark)` of every redo group one commit logged, in
+/// append order: shared by its ticket and its horizon entry.
+pub(crate) type GroupEnds = Arc<[(u32, LogMark)]>;
+
 /// What a group-commit acknowledgment must wait for: the commit's
 /// timestamp on the process-wide [`DurabilityHorizon`], plus — per
-/// partition the commit logged to — the LSN its redo group ends at.
-/// Created by the commit path under [`FsyncPolicy::GroupCommit`] and
-/// consumed by the session before acknowledging the client.
-#[derive(Clone, Debug)]
+/// partition the commit logged to — the [`LogMark`] its redo group ends
+/// at. Created by the commit path under [`FsyncPolicy::GroupCommit`] and
+/// consumed by [`Session::ack_ticket`](crate::session::Session::ack_ticket)
+/// before acknowledging the client. Not `Clone`: one ticket, one
+/// acknowledgment.
+#[must_use = "a commit is not acknowledged until its ticket is passed to `Session::ack_ticket`"]
+#[derive(Debug)]
 pub struct DurabilityTicket {
     /// The commit timestamp registered on the horizon.
     pub(crate) commit_ts: u64,
-    /// `(partition index, end LSN)` for every partition the commit's redo
-    /// groups landed on, in the order they were appended.
-    pub(crate) parts: Vec<(u32, Lsn)>,
+    /// `(partition index, end mark)` for every partition the commit's redo
+    /// groups landed on, in the order they were appended. Shared with the
+    /// horizon entry.
+    pub(crate) parts: GroupEnds,
 }
 
 /// The process-wide durability horizon: the highest timestamp `t` such
@@ -1000,6 +1084,11 @@ pub struct DurabilityTicket {
 /// on is durable too, so the recovered state always contains every
 /// acknowledged commit.
 ///
+/// A registered commit counts as durable once every partition it logged
+/// to has a durability watermark at or past its group's end mark — read
+/// off the partitions' [`WalHandle`]s, not reported by the commit's owner,
+/// so no acknowledgment waits for another session to acknowledge.
+///
 /// The invariant that makes `min(stable, first_pending - 1)` sound:
 /// committers register their timestamp *after* their last log append
 /// succeeds and *before* installing (and before the commit clock marks
@@ -1009,23 +1098,27 @@ pub struct DurabilityHorizon {
     /// The horizon itself. Written only under `pending`'s lock, so plain
     /// stores stay monotone.
     durable_ts: AtomicU64,
-    /// Commits acknowledged through `DurabilityHorizon::wait_acked`
+    /// Commits acknowledged through [`DurabilityHorizon::acknowledge`]
     /// (observability).
     acked: AtomicU64,
-    /// Registered commits not yet known durable: `commit_ts -> covered`.
-    /// An entry flips to `true` once every partition the commit touched
-    /// reports coverage; the horizon advances past leading covered
-    /// entries.
-    pending: Mutex<BTreeMap<u64, bool>>,
+    /// Every partition's WAL, indexed by partition. Empty on a monolithic
+    /// database, which never registers (see `log_commit`).
+    wals: Arc<[Arc<WalHandle>]>,
+    /// Registered commits not yet known durable: `commit_ts -> (partition,
+    /// end mark)` of each of its groups. The horizon advances past leading
+    /// covered entries.
+    pending: Mutex<BTreeMap<u64, GroupEnds>>,
     cond: Condvar,
 }
 
 impl DurabilityHorizon {
-    /// An empty horizon (no commit registered, horizon at 0).
-    pub(crate) fn new() -> Self {
+    /// An empty horizon (no commit registered, horizon at 0) over the
+    /// partitions' WAL handles.
+    pub(crate) fn new(wals: Arc<[Arc<WalHandle>]>) -> Self {
         DurabilityHorizon {
             durable_ts: AtomicU64::new(0),
             acked: AtomicU64::new(0),
+            wals,
             pending: Mutex::new(BTreeMap::new()),
             cond: Condvar::new(),
         }
@@ -1037,66 +1130,103 @@ impl DurabilityHorizon {
         self.durable_ts.load(Ordering::Acquire)
     }
 
-    /// Commits acknowledged through `DurabilityHorizon::wait_acked`.
+    /// Commits acknowledged through the horizon.
     pub fn acked(&self) -> u64 {
         self.acked.load(Ordering::Relaxed)
     }
 
-    /// Registers a committed transaction on the horizon. Must be called
-    /// after its last log append succeeded and before it installs (see the
-    /// type-level invariant).
-    pub(crate) fn register(&self, commit_ts: u64) {
-        self.pending.lock().insert(commit_ts, false);
+    /// Registers a committed transaction and the end mark of each of its
+    /// groups. Must be called after its last log append succeeded and
+    /// before it installs (see the type-level invariant).
+    pub(crate) fn register(&self, commit_ts: u64, parts: GroupEnds) {
+        self.pending.lock().insert(commit_ts, parts);
     }
 
-    /// Resolves a registered commit: `durable` marks it covered (every
-    /// partition it touched fsynced past its group), `!durable` withdraws
-    /// it — the acknowledgment is failing with `DurabilityFailed`, and
-    /// leaving the entry would wedge every later commit's acknowledgment
-    /// behind a hole that will never fill (the durability gap is
-    /// documented: it closes at the post-heal sealing checkpoint). Either
-    /// way the horizon advances as far as `stable` (the commit clock's
-    /// stable timestamp) allows.
-    pub(crate) fn resolve(&self, commit_ts: u64, durable: bool, stable: u64) {
+    /// Withdraws a registered commit that will never be durable (a batch
+    /// fsync or a heal lost one of its groups): its acknowledgment fails
+    /// with `DurabilityFailed`, and leaving the entry would wedge every
+    /// later acknowledgment behind a hole that will never fill (the
+    /// durability gap is documented: it closes at the post-heal sealing
+    /// checkpoint). The horizon then advances as far as `stable` (the
+    /// commit clock's stable timestamp) allows.
+    pub(crate) fn withdraw(&self, commit_ts: u64, stable: u64) {
         let mut pending = self.pending.lock();
-        if durable {
-            if let Some(covered) = pending.get_mut(&commit_ts) {
-                *covered = true;
-            }
-        } else {
-            pending.remove(&commit_ts);
-        }
+        pending.remove(&commit_ts);
         self.advance_locked(&mut pending, stable);
     }
 
-    /// Parks until the horizon reaches `commit_ts`. `stable` is re-sampled
-    /// every bounded park so a horizon capped by the commit clock (a
-    /// concurrent committer between its allocation and its finish) makes
-    /// progress without a dedicated wakeup.
-    pub(crate) fn wait_acked(&self, commit_ts: u64, stable: impl Fn() -> u64) {
+    /// Acknowledges `ticket`: returns once the horizon reaches its
+    /// timestamp, or an error (after withdrawing it) when one of its
+    /// groups can never be covered.
+    ///
+    /// The caller first drives its own partitions' batch fsyncs
+    /// ([`WalHandle::wait_covered`]). While an older registered commit
+    /// still holds the horizon back, the caller drives *that* commit's
+    /// fsyncs too rather than waiting for its owner — which may be busy,
+    /// or may have dropped its ticket — and withdraws it if they fail.
+    /// Only a horizon held back by the commit clock (a committer between
+    /// its allocation and its finish) parks; `stable` is re-sampled every
+    /// bounded park.
+    pub(crate) fn acknowledge(
+        &self,
+        ticket: DurabilityTicket,
+        stable: impl Fn() -> u64,
+    ) -> Result<(), IoFailure> {
+        let DurabilityTicket { commit_ts, parts } = ticket;
+        if let Err(f) = self.drive(&parts) {
+            self.withdraw(commit_ts, stable());
+            return Err(f);
+        }
         loop {
-            if self.durable_ts.load(Ordering::Acquire) >= commit_ts {
-                self.acked.fetch_add(1, Ordering::Relaxed);
-                return;
+            if self.durable_ts() >= commit_ts {
+                break;
             }
             let mut pending = self.pending.lock();
             self.advance_locked(&mut pending, stable());
-            if self.durable_ts.load(Ordering::Acquire) >= commit_ts {
-                drop(pending);
-                self.acked.fetch_add(1, Ordering::Relaxed);
-                return;
+            if self.durable_ts() >= commit_ts {
+                break;
             }
-            self.cond.wait_for(&mut pending, GROUP_PARK);
+            match pending.first_key_value() {
+                // Leading entries are uncovered after the advance.
+                Some((&older, parts)) if older < commit_ts => {
+                    let parts = Arc::clone(parts);
+                    drop(pending);
+                    if self.drive(&parts).is_err() {
+                        self.withdraw(older, stable());
+                    }
+                }
+                _ => {
+                    self.cond.wait_for(&mut pending, GROUP_PARK);
+                }
+            }
         }
+        self.acked.fetch_add(1, Ordering::Relaxed);
+        Ok(())
+    }
+
+    /// Waits until every group in `parts` is covered, leading batch
+    /// fsyncs where none is in flight.
+    fn drive(&self, parts: &[(u32, LogMark)]) -> Result<(), IoFailure> {
+        for &(p, mark) in parts {
+            self.wals[p as usize].wait_covered(mark)?;
+        }
+        Ok(())
+    }
+
+    /// True when every group in `parts` is durable.
+    fn covered(&self, parts: &[(u32, LogMark)]) -> bool {
+        parts
+            .iter()
+            .all(|&(p, mark)| matches!(self.wals[p as usize].coverage(mark), Ok(true)))
     }
 
     /// Pops leading covered entries and publishes the new horizon:
     /// `min(stable, first still-pending timestamp - 1)` — or `stable`
     /// alone when nothing is pending. Caller holds the `pending` lock.
-    fn advance_locked(&self, pending: &mut BTreeMap<u64, bool>, stable: u64) {
+    fn advance_locked(&self, pending: &mut BTreeMap<u64, GroupEnds>, stable: u64) {
         while pending
             .first_key_value()
-            .is_some_and(|(_, covered)| *covered)
+            .is_some_and(|(_, parts)| self.covered(parts))
         {
             pending.pop_first();
         }
@@ -1106,18 +1236,12 @@ impl DurabilityHorizon {
             .map_or(u64::MAX, |ts| ts.saturating_sub(1));
         let horizon = stable.min(limit);
         if horizon > self.durable_ts.load(Ordering::Acquire) {
-            // ordering: Release pairs with the Acquire loads in
-            // `wait_acked` / `durable_ts`; only written under the
-            // `pending` lock, so the plain store stays monotone.
+            // ordering: Release pairs with the Acquire load in
+            // `durable_ts`; only written under the `pending` lock, so the
+            // plain store stays monotone.
             self.durable_ts.store(horizon, Ordering::Release);
             self.cond.notify_all();
         }
-    }
-}
-
-impl Default for DurabilityHorizon {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -1176,5 +1300,120 @@ mod tests {
         w.append_commit(2, [(TableId(0), 5u64, &r)].into_iter());
         assert_eq!(w.bytes_logged() - before, before);
         assert_eq!(w.records(), 2);
+    }
+
+    /// A horizon over `n` partitions whose watermarks the test sets by
+    /// hand (ring handles: no file behind them).
+    fn horizon(n: usize) -> (DurabilityHorizon, Vec<Arc<WalHandle>>) {
+        let wals: Vec<Arc<WalHandle>> = (0..n).map(|_| Arc::new(WalHandle::for_tests())).collect();
+        (DurabilityHorizon::new(wals.clone().into()), wals)
+    }
+
+    fn publish(wal: &WalHandle, lsn: Lsn) {
+        wal.durable_mark
+            .fetch_max(LogMark::new(0, lsn).0, Ordering::Release);
+    }
+
+    fn register(h: &DurabilityHorizon, commit_ts: u64, ends: &[(u32, Lsn)]) -> DurabilityTicket {
+        let parts: GroupEnds = ends
+            .iter()
+            .map(|&(p, lsn)| (p, LogMark::new(0, lsn)))
+            .collect();
+        h.register(commit_ts, Arc::clone(&parts));
+        DurabilityTicket { commit_ts, parts }
+    }
+
+    fn advance(h: &DurabilityHorizon, stable: u64) -> u64 {
+        h.advance_locked(&mut h.pending.lock(), stable);
+        h.durable_ts()
+    }
+
+    #[test]
+    fn horizon_never_passes_a_commit_with_an_uncovered_partition() {
+        let (h, wals) = horizon(2);
+        let _t = register(&h, 5, &[(0, 100), (1, 50)]);
+        publish(&wals[0], 100);
+        publish(&wals[1], 49);
+        assert_eq!(advance(&h, 10), 4, "partition 1 is one byte short");
+        publish(&wals[1], 50);
+        assert_eq!(advance(&h, 10), 10);
+    }
+
+    #[test]
+    fn horizon_passes_a_covered_commit_whose_owner_never_acks() {
+        let (h, wals) = horizon(2);
+        let unacked = register(&h, 3, &[(0, 10)]);
+        let acked = register(&h, 7, &[(1, 20)]);
+        publish(&wals[0], 10);
+        publish(&wals[1], 20);
+        drop(unacked);
+        h.acknowledge(acked, || 7)
+            .expect("both commits are covered");
+        assert_eq!(h.durable_ts(), 7);
+        assert_eq!(h.acked(), 1);
+    }
+
+    #[test]
+    fn withdrawn_entry_no_longer_blocks_the_horizon() {
+        let (h, wals) = horizon(2);
+        let _lost = register(&h, 2, &[(0, 100)]);
+        let _t = register(&h, 4, &[(1, 10)]);
+        publish(&wals[1], 10);
+        assert_eq!(advance(&h, 10), 1);
+        h.withdraw(2, 10);
+        assert_eq!(h.durable_ts(), 10);
+    }
+
+    #[test]
+    fn durable_ts_is_monotone() {
+        let (h, wals) = horizon(1);
+        assert_eq!(advance(&h, 10), 10);
+        assert_eq!(advance(&h, 5), 10, "a lower stable point never lowers it");
+        let _t = register(&h, 15, &[(0, 30)]);
+        assert_eq!(advance(&h, 20), 14);
+        assert_eq!(advance(&h, 12), 14);
+        publish(&wals[0], 30);
+        assert_eq!(advance(&h, 20), 20);
+        h.withdraw(15, 3);
+        assert_eq!(h.durable_ts(), 20);
+    }
+
+    #[test]
+    fn heal_starts_a_generation_that_covers_nothing_written_before_it() {
+        let dir = std::env::temp_dir().join(format!("bamboo-wal-heal-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let policy = FsyncPolicy::GroupCommit {
+            max_batch: 4,
+            max_wait_us: 0,
+        };
+        let open = || SegmentWriter::open(&dir, 0, policy, 1 << 20).unwrap();
+        let wal = WalHandle::durable(open());
+        let append = |txn: u64| wal.append_txn(txn, txn, 1, std::iter::empty()).unwrap();
+        let synced = append(1);
+        assert!(!synced.durable);
+        wal.wait_covered(synced.end).unwrap();
+        let unsynced = append(2);
+        assert!(!wal.coverage(unsynced.end).unwrap());
+        // Push the group to the OS without syncing it — what a failed
+        // fsync leaves behind.
+        if let WalSink::Durable { writer, .. } = &mut *wal.sink.lock() {
+            let _ = writer.detach_sync().unwrap();
+        }
+
+        wal.replace_writer(open());
+        assert!(
+            wal.durable_lsn() >= unsynced.end.lsn(),
+            "the healed writer resumes past the unsynced group"
+        );
+        assert!(wal.coverage(synced.end).unwrap(), "synced before the heal");
+        assert!(
+            wal.coverage(unsynced.end).is_err(),
+            "a new generation never covers bytes written before it"
+        );
+        assert!(wal.wait_covered(unsynced.end).is_err());
+        let fresh = append(3);
+        assert_eq!(fresh.end.generation(), 1);
+        wal.wait_covered(fresh.end).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -239,6 +239,19 @@ impl std::error::Error for IoFailure {}
 // Log backend seam
 // ---------------------------------------------------------------------------
 
+/// An `fdatasync` of one log file that no longer borrows its writer, so
+/// the caller can run it after releasing the lock that serializes appends.
+pub trait DataSync: Send + Sync {
+    /// Forces the file's data to stable media.
+    fn sync_data(&self) -> io::Result<()>;
+}
+
+impl DataSync for File {
+    fn sync_data(&self) -> io::Result<()> {
+        File::sync_data(self)
+    }
+}
+
 /// An open, append-positioned log file handle. The writer side of
 /// [`LogBackend`]: everything [`SegmentWriter`] does to a file goes through
 /// this object so a fault-injecting backend can interpose on each byte.
@@ -248,8 +261,10 @@ pub trait LogFile: Send {
     fn write_all(&mut self, buf: &[u8]) -> io::Result<()>;
     /// Pushes buffered bytes to the OS without forcing them to media.
     fn flush(&mut self) -> io::Result<()>;
-    /// Flushes, then forces file data to stable media (`fdatasync`).
-    fn sync_data(&mut self) -> io::Result<()>;
+    /// Flushes, then returns a [`DataSync`] that forces every byte flushed
+    /// so far to stable media. Bytes appended after this call are not
+    /// covered by the returned sync.
+    fn detach_sync(&mut self) -> io::Result<Arc<dyn DataSync>>;
 }
 
 /// The filesystem seam under `bamboo_storage::log`: every directory scan,
@@ -280,7 +295,26 @@ pub trait LogBackend: Send + Sync + fmt::Debug {
 #[derive(Debug, Default, Clone, Copy)]
 pub struct RealBackend;
 
-struct RealFile(BufWriter<File>);
+/// A file shared between its buffered writer and detached syncs.
+struct SharedFile(Arc<File>);
+
+impl Write for SharedFile {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        (&*self.0).write(buf)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        (&*self.0).flush()
+    }
+}
+
+struct RealFile(BufWriter<SharedFile>);
+
+impl RealFile {
+    fn boxed(file: File) -> Box<dyn LogFile> {
+        Box::new(RealFile(BufWriter::new(SharedFile(Arc::new(file)))))
+    }
+}
 
 impl LogFile for RealFile {
     fn write_all(&mut self, buf: &[u8]) -> io::Result<()> {
@@ -291,9 +325,9 @@ impl LogFile for RealFile {
         self.0.flush()
     }
 
-    fn sync_data(&mut self) -> io::Result<()> {
+    fn detach_sync(&mut self) -> io::Result<Arc<dyn DataSync>> {
         self.0.flush()?;
-        self.0.get_ref().sync_data()
+        Ok(self.0.get_ref().0.clone())
     }
 }
 
@@ -316,12 +350,11 @@ impl LogBackend for RealBackend {
             .truncate(true)
             .write(true)
             .open(path)?;
-        Ok(Box::new(RealFile(BufWriter::new(file))))
+        Ok(RealFile::boxed(file))
     }
 
     fn open_append(&self, path: &Path) -> io::Result<Box<dyn LogFile>> {
-        let file = OpenOptions::new().append(true).open(path)?;
-        Ok(Box::new(RealFile(BufWriter::new(file))))
+        Ok(RealFile::boxed(OpenOptions::new().append(true).open(path)?))
     }
 
     fn file_len(&self, path: &Path) -> io::Result<u64> {
@@ -596,15 +629,27 @@ impl LogFile for FaultFile {
         self.inner.flush()
     }
 
-    fn sync_data(&mut self) -> io::Result<()> {
+    fn detach_sync(&mut self) -> io::Result<Arc<dyn DataSync>> {
+        // Draw now, while the caller still serializes this file's
+        // operations, so the per-file draw order stays deterministic.
         let (fault, _) = self.injector.draw(&self.name, false);
+        let inner = self.inner.detach_sync()?;
         if fault == Fault::Fsync {
-            // The flush may have pushed bytes to the OS; only the
-            // durability barrier fails — exactly a flaky fsync.
-            let _ = self.inner.flush();
-            return Err(injected_transient("fsync failure"));
+            // The flush pushed the bytes to the OS; only the durability
+            // barrier fails — exactly a flaky fsync.
+            return Ok(Arc::new(FailedSync));
         }
-        self.inner.sync_data()
+        Ok(inner)
+    }
+}
+
+/// A detached sync that fails transiently: [`FaultFile`]'s injected
+/// `fsync` failure.
+struct FailedSync;
+
+impl DataSync for FailedSync {
+    fn sync_data(&self) -> io::Result<()> {
+        Err(injected_transient("fsync failure"))
     }
 }
 
@@ -1395,11 +1440,32 @@ impl SegmentWriter {
 
     /// Flushes buffered bytes and fsyncs the active segment.
     pub fn sync(&mut self) -> io::Result<()> {
-        self.file.sync_data()?;
-        self.synced_lsn = self.lsn;
-        self.commits_since_sync = 0;
-        self.last_sync = Instant::now();
+        let (sync, at) = self.detach_sync()?;
+        sync.sync_data()?;
+        self.mark_synced(at);
         Ok(())
+    }
+
+    /// Pushes every written byte to the OS and returns a [`DataSync`]
+    /// that makes them durable, plus the LSN they end at. The sync does
+    /// not borrow the writer, so the caller can run it after releasing
+    /// the lock that serializes appends; once it succeeds, report the LSN
+    /// back through [`SegmentWriter::mark_synced`]. Sealed segments are
+    /// already durable (rotation syncs them), so syncing the active
+    /// segment covers the whole stream up to the returned LSN.
+    pub fn detach_sync(&mut self) -> io::Result<(Arc<dyn DataSync>, Lsn)> {
+        Ok((self.file.detach_sync()?, self.lsn))
+    }
+
+    /// Records that a sync covered the stream up to `lsn` (never lowers
+    /// the synced LSN: an older detached sync may finish after a newer
+    /// one).
+    pub fn mark_synced(&mut self, lsn: Lsn) {
+        if lsn >= self.synced_lsn {
+            self.synced_lsn = lsn;
+            self.commits_since_sync = 0;
+            self.last_sync = Instant::now();
+        }
     }
 
     /// Next LSN to be assigned (= total frame bytes written).
@@ -1816,7 +1882,7 @@ fn write_checksummed(
     body.extend_from_slice(&crc.to_le_bytes());
     let mut file = backend.create(&dir.join(name))?;
     file.write_all(&body)?;
-    file.sync_data()?;
+    file.detach_sync()?.sync_data()?;
     Ok(())
 }
 

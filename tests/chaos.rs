@@ -27,6 +27,7 @@ use bamboo_repro::core::partition::{PartSession, PartitionedDb};
 use bamboo_repro::core::protocol::{
     Ic3Protocol, LockingProtocol, PieceAccess, PieceDecl, Protocol, SiloProtocol, TemplateDecl,
 };
+use bamboo_repro::core::wal::DurabilityTicket;
 use bamboo_repro::core::{AbortReason, DbOptions, TxnOptions};
 use bamboo_repro::storage::log::FaultInjector;
 use bamboo_repro::storage::{
@@ -568,6 +569,198 @@ fn group_commit_batch_fsync_failure_fails_whole_batch_and_degrades() {
         before,
         "recovery diverged from the healed state (seed {seed}, report: {report:?})"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A partition-0-local transfer of 5 from `from` to `to`, committed with
+/// its acknowledgment deferred. `Ok(None)` never happens under
+/// `GroupCommit` (a durable commit always carries a ticket).
+fn deferred_transfer(
+    session: &PartSession,
+    from: u64,
+    to: u64,
+) -> Result<Option<DurabilityTicket>, AbortReason> {
+    let mut txn = session.begin_on(PartitionId(0));
+    txn.update(ACCOUNTS, from, |r| r.set(1, Value::I64(r.get_i64(1) - 5)))
+        .and_then(|_| txn.update(ACCOUNTS, to, |r| r.set(1, Value::I64(r.get_i64(1) + 5))))
+        .map_err(|e| e.0)?;
+    txn.commit_deferred().map_err(|e| e.0)
+}
+
+/// The leader's batch fsync runs outside the partition's append lock, so a
+/// second session keeps appending while a failing fsync retries and
+/// degrades the partition. No member of the failed batch — nor any commit
+/// appended behind it — may be acknowledged, and the durability watermark
+/// never moves past the last successful fsync (here: the genesis
+/// checkpoint's, since every fsync fails).
+#[test]
+fn group_commit_fsync_failure_with_concurrent_appends_acks_nothing() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+
+    let seed = chaos_seed();
+    println!("chaos seed: {seed}");
+    let dir = tmp_dir("group-concurrent");
+    let plan = FaultPlan {
+        seed,
+        fsync_permille: 1000,
+        ..FaultPlan::quiet(seed)
+    };
+    let (pdb, injector) = build_faulty(&dir, plan, GROUP_POLICY);
+    let proto: Arc<dyn Protocol> = Arc::new(LockingProtocol::bamboo());
+    let session = PartSession::new(Arc::clone(&pdb), proto);
+    let wal = Arc::clone(pdb.parts()[0].wal());
+    let synced = wal.durable_lsn();
+
+    injector.arm();
+    let batch: Vec<DurabilityTicket> = (0..4)
+        .map(|i| {
+            deferred_transfer(&session, i, (i + 1) % 4)
+                .expect("fsync faults cannot touch the commit point under GroupCommit")
+                .expect("durable GroupCommit commits always carry a ticket")
+        })
+        .collect();
+    let stop = AtomicBool::new(false);
+    let (batch_acks, appender_acks) = std::thread::scope(|s| {
+        // Samples the watermark for as long as the fsyncs fail.
+        let watcher = s.spawn(|| {
+            while !stop.load(Ordering::Acquire) {
+                assert_eq!(
+                    wal.durable_lsn(),
+                    synced,
+                    "the watermark moved without a successful fsync (seed {seed})"
+                );
+                std::thread::yield_now();
+            }
+        });
+        // Appends behind the failing batch until the degrade stops it.
+        let appender = s.spawn(|| {
+            let mut tickets = Vec::new();
+            for _ in 0..10_000 {
+                match deferred_transfer(&session, 4, 5) {
+                    Ok(Some(ticket)) => tickets.push(ticket),
+                    Ok(None) => panic!("durable GroupCommit commit without a ticket"),
+                    Err(AbortReason::DurabilityFailed) => break,
+                    Err(_) => {} // a conflict abort; retry
+                }
+            }
+            let pending = tickets.len();
+            let acks: Vec<_> = tickets
+                .into_iter()
+                .map(|t| session.session(PartitionId(0)).ack_ticket(t))
+                .collect();
+            assert_eq!(acks.len(), pending);
+            acks
+        });
+        let acks: Vec<_> = batch
+            .into_iter()
+            .map(|t| session.session(PartitionId(0)).ack_ticket(t))
+            .collect();
+        let appended = appender.join().unwrap();
+        stop.store(true, Ordering::Release);
+        watcher.join().unwrap();
+        (acks, appended)
+    });
+    injector.disarm();
+    for (i, ack) in batch_acks.iter().chain(&appender_acks).enumerate() {
+        let err = ack
+            .as_ref()
+            .expect_err("every fsync failed — no commit may ack");
+        assert_eq!(
+            err.0,
+            AbortReason::DurabilityFailed,
+            "commit {i} must surface DurabilityFailed (seed {seed})"
+        );
+    }
+    assert_eq!(pdb.group_acks(), 0, "nothing was acknowledged");
+    assert_eq!(wal.durable_lsn(), synced);
+    assert_eq!(pdb.degraded_partitions(), 1, "only partition 0 degrades");
+    assert_eq!(
+        balances(&pdb).values().sum::<i64>(),
+        PARTS as i64 * ACCOUNTS_PER_PART as i64 * INITIAL,
+        "the failed batch leaked money in memory (seed {seed})"
+    );
+
+    // Heal, seal with a checkpoint; recovery converges on the installed
+    // state.
+    pdb.heal(PartitionId(0)).expect("disarmed heal succeeds");
+    pdb.checkpoint().expect("checkpoint after heal");
+    let before = balances(&pdb);
+    drop(session);
+    drop(pdb);
+    let (rec, report) = PartitionedDb::recover(
+        DbOptions::new()
+            .with_wal_dir(dir.clone())
+            .with_fsync_policy(GROUP_POLICY),
+    )
+    .unwrap_or_else(|e| panic!("recovery after concurrent batch failure (seed {seed}): {e}"));
+    assert_eq!(
+        balances(&rec),
+        before,
+        "recovery diverged from the healed state (seed {seed}, report: {report:?})"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A heal between a failed batch fsync and the acknowledgment must not
+/// make the failed commit look durable. The healed writer's watermark
+/// starts at the end of the log it scanned, which includes the commit's
+/// bytes (they reached the OS; only their fsync failed), but that
+/// watermark belongs to a new writer generation and covers nothing
+/// written before the heal.
+#[test]
+fn group_commit_heal_before_ack_never_counts_the_failed_commit_durable() {
+    let seed = chaos_seed();
+    println!("chaos seed: {seed}");
+    let dir = tmp_dir("group-heal");
+    let plan = FaultPlan {
+        seed,
+        fsync_permille: 1000,
+        ..FaultPlan::quiet(seed)
+    };
+    let (pdb, injector) = build_faulty(&dir, plan, GROUP_POLICY);
+    let proto: Arc<dyn Protocol> = Arc::new(LockingProtocol::bamboo());
+    let session = PartSession::new(Arc::clone(&pdb), proto);
+    let wal = Arc::clone(pdb.parts()[0].wal());
+
+    injector.arm();
+    let first = deferred_transfer(&session, 0, 1)
+        .expect("commit point passes")
+        .expect("ticket");
+    let second = deferred_transfer(&session, 2, 3)
+        .expect("commit point passes")
+        .expect("ticket");
+    let end = wal.current_lsn();
+    // The first ack leads the batch fsync covering both groups; it fails.
+    let err = session
+        .session(PartitionId(0))
+        .ack_ticket(first)
+        .expect_err("the batch fsync failed");
+    assert_eq!(err.0, AbortReason::DurabilityFailed);
+    assert!(wal.is_degraded());
+    assert!(wal.durable_lsn() < end);
+
+    injector.disarm();
+    pdb.heal(PartitionId(0)).expect("disarmed heal succeeds");
+    assert!(
+        wal.durable_lsn() >= end,
+        "the healed writer resumes past the failed batch's bytes"
+    );
+    let err = session
+        .session(PartitionId(0))
+        .ack_ticket(second)
+        .expect_err("a heal must not acknowledge a commit whose fsync failed");
+    assert_eq!(
+        err.0,
+        AbortReason::DurabilityFailed,
+        "the unsynced member must surface DurabilityFailed (seed {seed})"
+    );
+    assert_eq!(pdb.group_acks(), 0, "the horizon acknowledged nothing");
+
+    // The healed partition acknowledges new commits again.
+    transfer(&session, 100, 4, 5, 3).expect("healed partition commits and acks");
+    assert_eq!(pdb.group_acks(), 1);
+    drop(session);
+    drop(pdb);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -11,9 +11,10 @@ use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
+use bamboo_repro::core::executor::TxnSpec;
 use bamboo_repro::core::partition::{PartSession, PartitionedDb};
 use bamboo_repro::core::protocol::{LockingProtocol, Protocol};
-use bamboo_repro::core::DbOptions;
+use bamboo_repro::core::{Abort, DbOptions, Txn};
 use bamboo_repro::storage::log::{SegmentWriter, WalRecord};
 use bamboo_repro::storage::{
     DataType, FsyncPolicy, PartitionId, RouteStrategy, Row, Schema, TableId, Value,
@@ -53,6 +54,23 @@ fn durable_bank(dir: &Path, policy: FsyncPolicy) -> (Arc<PartitionedDb>, TableId
     }
     pdb.checkpoint().expect("genesis checkpoint");
     (pdb, t)
+}
+
+/// Moves 5 from `from` to `to`, as a spec for `Session::run` and
+/// `Session::run_many`.
+struct Transfer {
+    t: TableId,
+    from: u64,
+    to: u64,
+}
+
+impl TxnSpec for Transfer {
+    fn run_piece(&self, _p: usize, txn: &mut Txn<'_>) -> Result<(), Abort> {
+        txn.update(self.t, self.from, |r| {
+            r.set(1, Value::I64(r.get_i64(1) - 5))
+        })?;
+        txn.update(self.t, self.to, |r| r.set(1, Value::I64(r.get_i64(1) + 5)))
+    }
 }
 
 /// Runs `n` committed cross-partition transfers (deterministic pattern)
@@ -333,27 +351,10 @@ fn recover_without_checkpoint_fails_cleanly() {
 /// every acked transfer.
 #[test]
 fn run_many_batches_acks_under_group_commit() {
-    use bamboo_repro::core::executor::TxnSpec;
-    use bamboo_repro::core::{Abort, Txn};
-
     const POLICY: FsyncPolicy = FsyncPolicy::GroupCommit {
         max_batch: 16,
         max_wait_us: 100,
     };
-
-    struct Transfer {
-        t: TableId,
-        from: u64,
-        to: u64,
-    }
-    impl TxnSpec for Transfer {
-        fn run_piece(&self, _p: usize, txn: &mut Txn<'_>) -> Result<(), Abort> {
-            txn.update(self.t, self.from, |r| {
-                r.set(1, Value::I64(r.get_i64(1) - 5))
-            })?;
-            txn.update(self.t, self.to, |r| r.set(1, Value::I64(r.get_i64(1) + 5)))
-        }
-    }
 
     let dir = tmp_dir("run-many-group");
     let (pdb, t) = durable_bank(&dir, POLICY);
@@ -397,6 +398,65 @@ fn run_many_batches_acks_under_group_commit() {
     )
     .expect("recovery after run_many");
     assert_eq!(state(&rec, t), before, "acked batch survives recovery");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A dropped `commit_deferred` ticket wedges nothing. Its commit stays
+/// registered on the durability horizon, and the horizon counts it durable
+/// once its partition's watermark covers its group: a later commit's
+/// acknowledgment drives that fsync itself instead of waiting for an
+/// owner that will never ack.
+#[test]
+fn dropped_group_commit_ticket_does_not_wedge_later_commits() {
+    const POLICY: FsyncPolicy = FsyncPolicy::GroupCommit {
+        max_batch: 8,
+        max_wait_us: 100,
+    };
+    let dir = tmp_dir("dropped-ticket");
+    let (pdb, t) = durable_bank(&dir, POLICY);
+    let proto: Arc<dyn Protocol> = Arc::new(LockingProtocol::bamboo());
+    let session = Arc::new(PartSession::new(Arc::clone(&pdb), proto));
+
+    // A partition-1-local transfer, committed with its ack deferred; the
+    // ticket is dropped without ever being acked.
+    let (a, b) = (ACCOUNTS_PER_PART, ACCOUNTS_PER_PART + 1);
+    let mut txn = session.begin_on(PartitionId(1));
+    txn.update(t, a, |r| r.set(1, Value::I64(r.get_i64(1) - 5)))
+        .and_then(|_| txn.update(t, b, |r| r.set(1, Value::I64(r.get_i64(1) + 5))))
+        .expect("partition-1 transfer executes");
+    let ticket = txn
+        .commit_deferred()
+        .expect("commit point passes")
+        .expect("durable GroupCommit commits carry a ticket");
+    drop(ticket);
+    let dropped_end = pdb.parts()[1].wal().current_lsn();
+
+    // A transaction writing only partition 0 must still be acknowledged.
+    // Run it on its own thread so a wedge fails the test instead of
+    // hanging it.
+    let (tx, rx) = std::sync::mpsc::channel();
+    let worker = {
+        let session = Arc::clone(&session);
+        std::thread::spawn(move || {
+            let spec = Transfer { t, from: 0, to: 1 };
+            let _ = tx.send(session.session(PartitionId(0)).run(&spec));
+        })
+    };
+    let res = rx
+        .recv_timeout(std::time::Duration::from_secs(5))
+        .expect("a dropped ticket on partition 1 wedged a partition-0 commit");
+    assert!(res.is_ok(), "partition-0 commit failed: {res:?}");
+    worker.join().unwrap();
+    assert!(
+        pdb.parts()[1].wal().durable_lsn() >= dropped_end,
+        "the partition-0 ack must have driven partition 1's fsync"
+    );
+    assert_eq!(
+        total(&pdb, t),
+        PARTS as i64 * ACCOUNTS_PER_PART as i64 * INITIAL
+    );
+    drop(session);
+    drop(pdb);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
