@@ -6,16 +6,16 @@
 //!
 //! * **fsync sweep** — committed throughput and commit-latency
 //!   percentiles (p50/p99/p999) under the in-memory ring baseline and
-//!   each durable fsync policy (`never`, `group(8)`, `interval(5ms)`,
-//!   `every_commit`, `group_commit`). The spread is the headline: how
-//!   much of the commit path the durability horizon costs, from "buffered
-//!   appends only" to "every ack survives `kill -9`".
+//!   both durable fsync policies (`never`, `group_commit`). The spread is
+//!   the headline: how much of the commit path the durability horizon
+//!   costs, from "buffered appends only" to "every ack survives
+//!   `kill -9`".
 //! * **group-commit bench** — the deferred-ack pipeline
 //!   ([`bamboo_core::session::Txn::commit_deferred`] +
-//!   [`bamboo_core::session::Session::ack_ticket`]) against the
-//!   synchronous `every_commit` baseline: locks release and versions
-//!   install immediately, one leader fsync covers the whole staged
-//!   flight, acks ride the durability horizon. Written to a separate
+//!   [`bamboo_core::session::Session::ack_ticket`]) against synchronous
+//!   commits under the same policy: locks release and versions install
+//!   immediately, one leader fsync covers the whole staged flight, acks
+//!   ride the durability horizon. Written to a separate
 //!   `BENCH_group_commit.json` when `--group-out` is given.
 //! * **recovery sweep** — wall-clock time of `PartitionedDb::recover` as
 //!   the replayable log grows (transfers past the genesis checkpoint),
@@ -215,8 +215,8 @@ fn hammer_deferred(
                     match txn.commit_deferred() {
                         Ok(Some(ticket)) => pending.push((ticket, t0)),
                         Ok(None) => {
-                            // Already durable at the commit point (ring or
-                            // non-group policies): ack is implicit.
+                            // No ticket (ring, or `Never`): nothing to
+                            // wait for, so the ack is implicit.
                             local += 1;
                             lat.push(t0.elapsed().as_micros() as u64);
                         }
@@ -248,12 +248,9 @@ fn best_of(repeat: usize, mut run: impl FnMut() -> HammerResult) -> HammerResult
 }
 
 fn fsync_sweep(threads: usize, dur: Duration, repeat: usize) -> String {
-    let policies: [(&str, Option<FsyncPolicy>); 6] = [
+    let policies: [(&str, Option<FsyncPolicy>); 3] = [
         ("ring", None),
         ("never", Some(FsyncPolicy::Never)),
-        ("group_8", Some(FsyncPolicy::GroupEveryN(8))),
-        ("interval_5ms", Some(FsyncPolicy::IntervalMs(5))),
-        ("every_commit", Some(FsyncPolicy::EveryCommit)),
         ("group_commit", Some(GROUP_POLICY)),
     ];
     let mut out = Vec::new();
@@ -282,13 +279,14 @@ fn fsync_sweep(threads: usize, dur: Duration, repeat: usize) -> String {
     format!("[{}]", out.join(", "))
 }
 
-/// The headline group-commit comparison: synchronous `every_commit` acks
-/// vs the deferred-ack batch pipeline under [`GROUP_POLICY`]. Returns the
-/// full `BENCH_group_commit.json` document.
+/// The headline group-commit comparison under [`GROUP_POLICY`]:
+/// synchronous acks (each `commit()` waits for its own batch fsync) vs the
+/// deferred-ack batch pipeline. Returns the full `BENCH_group_commit.json`
+/// document.
 fn group_commit_bench(threads: usize, dur: Duration, repeat: usize, batch: usize) -> String {
     let base = best_of(repeat, || {
         let dir = tmp_dir("gc-base");
-        let (pdb, t) = bank(Some((&dir, FsyncPolicy::EveryCommit)));
+        let (pdb, t) = bank(Some((&dir, GROUP_POLICY)));
         let r = hammer(&pdb, t, threads, dur);
         drop(pdb);
         let _ = std::fs::remove_dir_all(&dir);
@@ -316,7 +314,7 @@ fn group_commit_bench(threads: usize, dur: Duration, repeat: usize, batch: usize
         0.0
     };
     eprintln!(
-        "group_commit  every_commit={:.0} txn/s  deferred={:.0} txn/s  speedup={speedup:.1}x  \
+        "group_commit  sync={:.0} txn/s  deferred={:.0} txn/s  speedup={speedup:.1}x  \
          leader_fsyncs={fsyncs} acks={acks} mean_batch={mean_batch:.1}",
         base.tput, group.tput
     );
@@ -324,10 +322,10 @@ fn group_commit_bench(threads: usize, dur: Duration, repeat: usize, batch: usize
         "{{\n  \"bench\": \"group_commit\",\n  \"protocol\": \"bamboo\",\n  \
          \"threads\": {threads},\n  \"partitions\": {PARTS},\n  \"repeat\": {repeat},\n  \
          \"batch\": {batch},\n  \
-         \"note\": \"cross-partition bank transfers; baseline acks each commit's fsync \
-         synchronously, group_commit stages batches via commit_deferred and acks on the \
-         durability horizon\",\n  \
-         \"baseline_every_commit\": {{\"tput\": {:.0}, \"lat_us\": {}}},\n  \
+         \"note\": \"cross-partition bank transfers under one GroupCommit policy; baseline \
+         acks each commit synchronously, group_commit stages batches via commit_deferred and \
+         acks on the durability horizon\",\n  \
+         \"baseline_sync\": {{\"tput\": {:.0}, \"lat_us\": {}}},\n  \
          \"group_commit\": {{\"tput\": {:.0}, \"lat_us\": {}, \"leader_fsyncs\": {fsyncs}, \
          \"acks\": {acks}, \"mean_batch\": {mean_batch:.1}}},\n  \
          \"speedup\": {speedup:.2}\n}}\n",

@@ -97,10 +97,9 @@ pub struct DbOptions {
     /// [`crate::partition::PartitionedDbBuilder::build`] open file-backed
     /// segments instead.
     pub wal_dir: Option<std::path::PathBuf>,
-    /// When (if ever) the durable log fsyncs on the commit path. Ignored
-    /// unless [`DbOptions::wal_dir`] is set. See
-    /// [`bamboo_storage::FsyncPolicy`] for the durability horizon each
-    /// policy buys.
+    /// Whether commit acknowledgments on the durable log are volatile
+    /// (`Never`, the default) or durable (`GroupCommit`). Ignored unless
+    /// [`DbOptions::wal_dir`] is set. See [`bamboo_storage::FsyncPolicy`].
     pub fsync_policy: bamboo_storage::FsyncPolicy,
     /// Size at which a durable WAL segment rotates to a fresh file.
     /// Ignored unless [`DbOptions::wal_dir`] is set.
@@ -1118,19 +1117,32 @@ mod tests {
         // The builders set each knob independently.
         let opts = DbOptions::new()
             .with_wal_dir("/tmp/bamboo-wal")
-            .with_fsync_policy(FsyncPolicy::GroupEveryN(8))
+            .with_fsync_policy(FsyncPolicy::GroupCommit {
+                max_batch: 8,
+                max_wait_us: 50,
+            })
             .with_segment_bytes(1 << 16);
         assert_eq!(
             opts.wal_dir.as_deref(),
             Some(std::path::Path::new("/tmp/bamboo-wal"))
         );
-        assert_eq!(opts.fsync_policy, FsyncPolicy::GroupEveryN(8));
+        assert_eq!(
+            opts.fsync_policy,
+            FsyncPolicy::GroupCommit {
+                max_batch: 8,
+                max_wait_us: 50
+            }
+        );
         assert_eq!(opts.segment_bytes, 1 << 16);
         // A database built without a wal dir ignores the other knobs (in
         // particular its options survive round-tripping through build).
         let mut b = Database::builder();
-        b.with_options(DbOptions::new().with_fsync_policy(FsyncPolicy::EveryCommit));
-        assert_eq!(b.build().options().fsync_policy, FsyncPolicy::EveryCommit);
+        let policy = FsyncPolicy::GroupCommit {
+            max_batch: 1,
+            max_wait_us: 0,
+        };
+        b.with_options(DbOptions::new().with_fsync_policy(policy));
+        assert_eq!(b.build().options().fsync_policy, policy);
     }
 
     #[test]

@@ -23,37 +23,41 @@
 //!   pass: the commit pipeline logs **after** the commit-point CAS, so
 //!   uncommitted work never reaches a segment.
 //!
-//! # Replayability and the fsync policy
+//! # Replayability: one rule
 //!
 //! Within one partition the log is written by a single appender under the
 //! WAL lock, so whatever survives a crash is a byte-prefix of what was
 //! written, and a transaction's record group (`Begin … Commit`) is never
 //! interleaved with another group or split by a checkpoint cut. Across
 //! partitions, a transaction is replayable iff its group is complete on
-//! *every* partition in its mask:
+//! *every* partition in its mask. Recovery applies one rule, whatever
+//! policy wrote the log:
 //!
-//! * Under [`bamboo_storage::FsyncPolicy::EveryCommit`] an incomplete transaction was
-//!   never acknowledged **and never installed** (installs happen after all
-//!   appends), so no later transaction can depend on it — incomplete
-//!   groups are dropped individually and every fsync-acknowledged commit
-//!   survives.
-//! * Under the weaker policies a suffix of any partition's log may vanish,
-//!   so recovery applies a **horizon cut**: every transaction with a
-//!   commit timestamp at or above the oldest incomplete transaction's is
-//!   discarded. Dependency closure holds because a reader's group always
-//!   sits above its writer's group on the shared partition's log — if the
-//!   reader survived the prefix, so did the writer (or the writer is
-//!   incomplete elsewhere and the horizon removes both).
-//! * [`bamboo_storage::FsyncPolicy::GroupCommit`] also takes the horizon
-//!   branch even though its acknowledgments are durable: it installs
-//!   *before* the batch fsync (early lock release), so a dependent that is
-//!   durable on its own partitions can outlive a writer that never became
-//!   durable elsewhere — only the horizon cut removes both. Every
-//!   acknowledged commit still survives, because the acknowledgment waited
-//!   for the global durability horizon: when `T` was acked, every commit
-//!   with a timestamp at or below `T`'s was already durable on all its
-//!   partitions, so the oldest incomplete transaction (and hence the cut)
-//!   sits strictly above `T`. See `DURABILITY.md` "Group commit".
+//! * A transaction with an `Abort` marker is dropped on its own. The
+//!   commit path writes one on each partition that took the transaction's
+//!   group when a later partition's append failed — before anything
+//!   installed — so nothing can depend on it.
+//! * A transaction at or below the checkpoint's stable bound is skipped:
+//!   the dump already holds it. This is what seals a commit whose batch
+//!   fsync failed (its group may be lost) once a checkpoint covers it.
+//! * Every other incomplete transaction sets the **horizon cut**: every
+//!   transaction with a commit timestamp at or above the oldest incomplete
+//!   one's is discarded. Commits install *before* their log is durable
+//!   (early lock release), so a dependent that is durable on its own
+//!   partitions can outlive a writer that never became durable elsewhere
+//!   — only the cut removes both. Dependency closure holds because a
+//!   reader's group always sits above its writer's group on the shared
+//!   partition's log: if the reader survived the prefix, so did the
+//!   writer (or the writer is incomplete elsewhere and the horizon removes
+//!   both).
+//!
+//! Under [`bamboo_storage::FsyncPolicy::GroupCommit`] every acknowledged
+//! commit survives the cut, because the acknowledgment waited for the
+//! global durability horizon: when `T` was acked, every commit with a
+//! timestamp at or below `T`'s was already durable on all its partitions
+//! (or voided by a durable abort marker, or held in a checkpoint's dump),
+//! so the oldest incomplete transaction (and hence the cut) sits strictly
+//! above `T`. See `DURABILITY.md` "Group commit".
 //!
 //! Recovery ends by taking a fresh checkpoint of the recovered state, so
 //! the ambiguous log region behind it is never scanned again — running
@@ -70,7 +74,7 @@
 //! after-image cannot capture raceless-ly; logging column-masked update
 //! records for IC3 is future work (see `DURABILITY.md`).
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::io;
 use std::sync::Arc;
 
@@ -97,9 +101,11 @@ pub struct RecoveryReport {
     /// Individual redo records applied.
     pub replayed_writes: u64,
     /// Transactions dropped because a partition's group was missing or
-    /// unterminated (never acknowledged under `EveryCommit`).
+    /// unterminated; the oldest sets the horizon cut.
     pub dropped_incomplete: u64,
-    /// Complete transactions discarded by the weak-policy horizon cut.
+    /// Transactions voided by an `Abort` marker (dropped on their own).
+    pub dropped_aborted: u64,
+    /// Complete transactions discarded by the horizon cut.
     pub dropped_horizon: u64,
     /// Partitions whose log ended in a torn (checksum-failing) tail.
     pub torn_partitions: u32,
@@ -215,6 +221,10 @@ impl PartitionedDb {
                 cuts: cuts.clone(),
             },
         )?;
+        // The dump holds every commit at or below S, so a commit at or
+        // below S whose batch fsync failed no longer holds acks back.
+        db0.durability_horizon()
+            .seal(stable_ts, db0.commit_clock.stable());
         // 6. Drop a checkpoint marker into every partition's log (scan
         //    diagnostics; recovery itself reads the meta file). The
         //    checkpoint is already committed by the meta file above, so a
@@ -339,6 +349,7 @@ impl PartitionedDb {
         // decide which are replayable. Keyed by txn id — logs hold tens of
         // thousands of groups, so lookup must not be linear.
         let mut groups: HashMap<u64, TxnGroup> = HashMap::new();
+        let mut aborted: HashSet<u64> = HashSet::new();
         let mut max_txn_id = 0u64;
         for (p, scan) in scans.iter().enumerate() {
             let mut open: Option<(u64, Vec<WalRecord>)> = None;
@@ -372,27 +383,37 @@ impl PartitionedDb {
                             g.writes.push((p as u32, writes));
                         }
                     }
+                    WalRecord::Abort { txn_id, .. } => {
+                        // Its Begin may sit below the cut: still never
+                        // reuse the id.
+                        max_txn_id = max_txn_id.max(*txn_id);
+                        aborted.insert(*txn_id);
+                    }
                     WalRecord::Checkpoint { .. } => {}
                 }
             }
             // An unterminated group at the tail: the crash landed inside
             // the append. The transaction is incomplete by construction.
         }
+        // The checkpoint's dump already holds every commit at or below
+        // its stable bound. Such a commit can still have a group past the
+        // cut (it logged after the cuts were captured), and that group
+        // may be incomplete (its batch fsync failed) without implying
+        // anything about later commits.
+        groups.retain(|_, g| g.commit_ts > meta.stable_ts);
+        // Voided transactions never installed: drop them without cutting.
+        let before = groups.len();
+        groups.retain(|id, _| !aborted.contains(id));
+        report.dropped_aborted = (before - groups.len()) as u64;
         let complete = |g: &TxnGroup| g.seen_mask & g.parts_mask == g.parts_mask;
         report.dropped_incomplete = groups.values().filter(|g| !complete(g)).count() as u64;
-        // The horizon cut (every policy that installs before durability —
-        // see module docs; `GroupCommit` acks are durable but its installs
-        // are not, so it takes the horizon branch like the weak policies).
-        let horizon = if opts.fsync_policy.recovery_drops_individually() {
-            u64::MAX
-        } else {
-            groups
-                .values()
-                .filter(|g| !complete(g))
-                .map(|g| g.commit_ts)
-                .min()
-                .unwrap_or(u64::MAX)
-        };
+        // The horizon cut (see module docs).
+        let horizon = groups
+            .values()
+            .filter(|g| !complete(g))
+            .map(|g| g.commit_ts)
+            .min()
+            .unwrap_or(u64::MAX);
         report.dropped_horizon = groups
             .values()
             .filter(|g| complete(g) && g.commit_ts >= horizon)

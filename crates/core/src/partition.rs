@@ -308,15 +308,30 @@ impl PartitionedDb {
         self.parts[0].db.durability_horizon().acked()
     }
 
+    /// True while every acknowledgment above some failure fails with
+    /// [`crate::txn::AbortReason::DurabilityFailed`] (the commits still
+    /// install) until [`PartitionedDb::heal`] clears it: a commit whose
+    /// batch fsync failed is not yet covered by a checkpoint, or an abort
+    /// marker is pending on a degraded partition. This holds acks on
+    /// *every* partition, healthy ones included.
+    pub fn acks_held(&self) -> bool {
+        self.parts[0].db.durability_horizon().held()
+    }
+
     /// Heals a degraded partition: re-opens its durable segment writer
-    /// (scanning the existing segments and truncating any torn tail, so
-    /// writing resumes on a clean frame boundary) and re-admits writes.
+    /// (scanning the active segment and truncating any torn tail, so
+    /// writing resumes on a clean frame boundary in a fresh segment), lands
+    /// and syncs every abort marker a failure left pending, and re-admits
+    /// writes. Once no partition is degraded, it also takes the checkpoint
+    /// that seals commits whose batch fsync failed (see
+    /// [`PartitionedDb::acks_held`]), so acknowledgments resume.
     ///
     /// Safe to call while the rest of the database keeps committing — the
-    /// swap serializes behind the partition's WAL lock. Calling it on a
-    /// healthy partition is a no-op refresh of the writer. Fails (leaving
-    /// the partition degraded) when the segment still cannot be opened —
-    /// e.g. the underlying fault persists — or when the database has no
+    /// swap serializes behind the partition's WAL lock. On a healthy
+    /// partition it only retries a seal that failed. Fails when the
+    /// segment still cannot be opened or the pending markers cannot be
+    /// made durable (the partition stays degraded), when the sealing
+    /// checkpoint fails (acks stay held), or when the database has no
     /// durable WAL configured.
     pub fn heal(&self, p: PartitionId) -> std::io::Result<()> {
         let opts = self.parts[p.idx()].db.options();
@@ -326,14 +341,26 @@ impl PartitionedDb {
                 "heal requires a durable WAL (DbOptions::with_wal_dir)",
             )
         })?;
-        let writer = bamboo_storage::SegmentWriter::open_with(
-            opts.backend(),
-            &dir,
-            p.0,
-            opts.fsync_policy,
-            opts.segment_bytes,
-        )?;
-        self.parts[p.idx()].wal.replace_writer(writer);
+        let wal = &self.parts[p.idx()].wal;
+        let mut unsynced = false;
+        if wal.is_degraded() {
+            unsynced = wal
+                .replace_writer(|| {
+                    bamboo_storage::SegmentWriter::open_with(
+                        opts.backend(),
+                        &dir,
+                        p.0,
+                        opts.fsync_policy,
+                        opts.segment_bytes,
+                    )
+                })
+                .map_err(|f| f.error)?;
+        }
+        // Commits logged past the retired writer's last fsync are withdrawn
+        // as their acks fail, now or later; seal them all at once.
+        if self.degraded_partitions() == 0 && (unsynced || self.acks_held()) {
+            self.checkpoint()?;
+        }
         Ok(())
     }
 }

@@ -774,8 +774,9 @@ impl Protocol for LockingProtocol {
             // commit installed and released — early lock release.
             Ok(ticket) => ctx.durability = ticket,
             Err(_) => {
-                // Durable sink failed: the group never became durable (torn
-                // bytes were rewound / the group abandoned), so revoke the
+                // Durable sink failed: the group never landed (torn bytes
+                // were rewound; orphans on earlier partitions were voided
+                // by abort markers), so revoke the
                 // commit point — nothing installed yet, no lock released, no
                 // dependent saw a Committed status it could act on — and
                 // abort this one transaction. The timestamp retires

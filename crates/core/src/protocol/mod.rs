@@ -194,11 +194,12 @@ pub(crate) fn apply_inserts(db: &Database, ctx: &mut TxnCtx) {
 ///
 /// ## Group commit
 ///
-/// Under [`bamboo_storage::FsyncPolicy::GroupCommit`] the appends return
-/// without a durability barrier. This function then registers the commit
-/// on the global [`crate::wal::DurabilityHorizon`] — after the *last*
-/// append succeeded and before anything installs, the ordering that keeps
-/// the commit clock's stable point from passing an unregistered committed
+/// The appends never fsync. Under
+/// [`bamboo_storage::FsyncPolicy::GroupCommit`] on a durable sink this
+/// function then registers the commit on the global
+/// [`crate::wal::DurabilityHorizon`] — after the *last* append succeeded
+/// and before anything installs, the ordering that keeps the commit
+/// clock's stable point from passing an unregistered committed
 /// transaction — together with the end mark of every per-partition group,
 /// which is what the horizon checks coverage against. It returns a
 /// [`DurabilityTicket`] carrying the same marks. The session parks on the
@@ -216,39 +217,39 @@ pub(crate) fn apply_inserts(db: &Database, ctx: &mut TxnCtx) {
 /// commit — must then revoke the commit point
 /// ([`crate::txn::TxnShared::revoke_commit`]) and abort with
 /// [`crate::txn::AbortReason::DurabilityFailed`], releasing locks and
-/// installing nothing. (Every error here is a *pre-install* failure, even
-/// under group commit: the deferred batch fsync happens after install, but
-/// its failures surface through the ticket wait, not through this
-/// function.) On the cross-partition path the degraded flag of
-/// *every* target partition is checked before the first append, so a
-/// commit never writes an orphan group to a healthy partition only to
-/// fail fast on a known-degraded sibling; a fault that strikes *during*
-/// the sequence can still orphan earlier groups, which recovery drops
-/// because their `seen_mask` never completes `parts_mask`.
+/// installing nothing. (Every error here is a *pre-install* failure: the
+/// batch fsync happens after install, but its failures surface through
+/// the ticket wait, not through this function.) On the cross-partition
+/// path the degraded flag of *every* target partition is checked before
+/// the first append, so a commit never writes an orphan group to a
+/// healthy partition only to fail fast on a known-degraded sibling. A
+/// fault that strikes *during* the sequence still orphans the groups that
+/// already landed: each is voided with a durable `Abort` marker
+/// ([`WalHandle::log_abort`]) before this function returns, and so before
+/// the caller finishes the commit timestamp. Recovery drops the orphan
+/// alone, and no later commit is acknowledged ahead of its marker. The
+/// markers are appended in descending order, after the failure; each is a
+/// single-record group, exempt from the ascending-partition order.
 pub(crate) fn log_commit(
     db: &Database,
     ctx: &TxnCtx,
     wal: &WalHandle,
 ) -> Result<Option<DurabilityTicket>, IoFailure> {
-    // Tickets exist only under group commit, and only when the append
-    // actually deferred the barrier (a ring sink is durable by fiat).
-    let ticketing = matches!(
+    // Tickets exist only under group commit on a durable sink (a ring
+    // sink keeps nothing to wait for).
+    let group_commit = matches!(
         db.options().fsync_policy,
         bamboo_storage::FsyncPolicy::GroupCommit { .. }
     );
     let ticket = |parts: Vec<(u32, LogMark)>| {
-        if parts.is_empty() {
-            None
-        } else {
-            // Register after every append succeeded, before the caller
-            // installs: see the horizon's type-level invariant.
-            let parts: GroupEnds = parts.into();
-            db.durability_horizon()
-                .register(ctx.commit_ts, std::sync::Arc::clone(&parts));
-            Some(DurabilityTicket {
-                commit_ts: ctx.commit_ts,
-                parts,
-            })
+        // Register after every append succeeded, before the caller
+        // installs: see the horizon's type-level invariant.
+        let parts: GroupEnds = parts.into();
+        db.durability_horizon()
+            .register(ctx.commit_ts, std::sync::Arc::clone(&parts));
+        DurabilityTicket {
+            commit_ts: ctx.commit_ts,
+            parts,
         }
     };
     // Partition bit for the durable completeness mask. Masks cap the
@@ -276,17 +277,19 @@ pub(crate) fn log_commit(
         })
     }
     let Some(topo) = db.topology() else {
-        let ga = wal.append_txn(
+        let end = wal.append_txn(
             ctx.shared.id,
             ctx.commit_ts,
             1,
             updates(ctx).chain(inserts(ctx)),
         )?;
-        if ticketing && !ga.durable {
-            wal.wait_covered(ga.end)?;
+        if group_commit && wal.is_durable() {
+            wal.wait_covered(end)?;
         }
         return Ok(None);
     };
+    // Every partition's sink has the same kind.
+    let ticketing = group_commit && topo.wals[0].is_durable();
     // Fast path: the write set usually lives on a single partition (the
     // partition-local transactions the architecture optimizes for), so
     // first scan for the set of written partitions without allocating.
@@ -315,16 +318,13 @@ pub(crate) fn log_commit(
     // allocation.
     if homogeneous {
         let p = single.unwrap_or(topo.me);
-        let ga = topo.wals[p.idx()].append_txn(
+        let end = topo.wals[p.idx()].append_txn(
             ctx.shared.id,
             ctx.commit_ts,
             part_bit(p.idx()),
             updates(ctx).chain(inserts(ctx)),
         )?;
-        if ticketing && !ga.durable {
-            return Ok(ticket(vec![(p.idx() as u32, ga.end)]));
-        }
-        return Ok(None);
+        return Ok(ticketing.then(|| ticket(vec![(p.idx() as u32, end)])));
     }
     // Cross-partition write set: group by owning partition (small vecs of
     // write descriptors; write sets are tens of entries, partitions a
@@ -370,14 +370,22 @@ pub(crate) fn log_commit(
             last.is_none_or(|l| l < p),
             "cross-partition WAL appends out of order: {last:?} before {p}"
         );
-        last = Some(p);
-        let ga =
-            topo.wals[p].append_txn(ctx.shared.id, ctx.commit_ts, parts_mask, group.drain(..))?;
-        if ticketing && !ga.durable {
-            ends.push((p as u32, ga.end));
+        match topo.wals[p].append_txn(ctx.shared.id, ctx.commit_ts, parts_mask, group.drain(..)) {
+            Ok(end) => ends.push((p as u32, end)),
+            Err(f) => {
+                // Void the orphan groups that already landed. A marker
+                // that fails stays pending on its (now degraded) partition
+                // until a heal lands it; the append failure is what the
+                // caller reports either way.
+                for &(q, _) in ends.iter().rev() {
+                    let _ = topo.wals[q as usize].log_abort(ctx.shared.id, ctx.commit_ts);
+                }
+                return Err(f);
+            }
         }
+        last = Some(p);
     }
-    Ok(ticket(ends))
+    Ok(ticketing.then(|| ticket(ends)))
 }
 
 /// Shared read path of snapshot mode: resolve `key` against the version

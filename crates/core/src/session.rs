@@ -332,8 +332,11 @@ impl Session {
     /// Returns `Err(Abort(DurabilityFailed))` when a batch fsync failed
     /// after this commit installed (or a heal replaced the writer before
     /// one covered it): the commit stands in memory but was never
-    /// acknowledged, and crash recovery may drop it (the post-heal sealing
-    /// checkpoint closes the gap — see `DURABILITY.md` "Group commit").
+    /// acknowledged, and crash recovery may drop it until the heal's
+    /// sealing checkpoint covers it. Until then every later ack fails the
+    /// same way, as it does while an abort marker is pending on a degraded
+    /// partition (see [`crate::PartitionedDb::acks_held`] and
+    /// `DURABILITY.md` "Group commit").
     pub fn ack_ticket(&self, ticket: DurabilityTicket) -> Result<(), Abort> {
         self.db
             .durability_horizon()
@@ -347,8 +350,8 @@ impl Session {
     /// *next* spec's execution instead of an fsync wait — and the
     /// durability waits run once at the end, in commit-timestamp order, so
     /// the whole batch shares a handful of leader fsyncs instead of
-    /// parking once per transaction. Under every other fsync policy this
-    /// is equivalent to calling [`Session::run`] in a loop.
+    /// parking once per transaction. Under `FsyncPolicy::Never` (or on the
+    /// ring) this is equivalent to calling [`Session::run`] in a loop.
     ///
     /// Returns one result per spec, in order. An entry is
     /// `Err(Abort(DurabilityFailed))` when its batch fsync failed after
@@ -689,8 +692,7 @@ impl<'s> Txn<'s> {
     ///
     /// Under `FsyncPolicy::GroupCommit` this blocks until the commit is
     /// covered by a leader fsync *and* the global durability horizon
-    /// reaches its timestamp — `Ok` means durable, under every policy that
-    /// promises durable acknowledgments.
+    /// reaches its timestamp — `Ok` means durable.
     pub fn commit(mut self) -> Result<(), Abort> {
         let res = self.commit_in_place();
         if res.is_err() {
@@ -703,8 +705,8 @@ impl<'s> Txn<'s> {
     /// on success returns the [`DurabilityTicket`] the caller later passes
     /// to [`Session::ack_ticket`] to learn whether the commit is durable,
     /// letting a batch of transactions share the durability wait.
-    /// `Ok(None)` means the commit needed no deferred acknowledgment (any
-    /// non-group-commit policy). On failure the attempt is aborted
+    /// `Ok(None)` means the commit needed no deferred acknowledgment
+    /// (`FsyncPolicy::Never`, or the in-memory ring). On failure the attempt is aborted
     /// internally, like [`Txn::commit`].
     pub fn commit_deferred(mut self) -> Result<Option<DurabilityTicket>, Abort> {
         self.defer_ack = true;

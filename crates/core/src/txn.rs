@@ -85,8 +85,9 @@ pub enum AbortReason {
     /// * **Ack-time** (`FsyncPolicy::GroupCommit` only): the batch fsync
     ///   failed *after* the commit installed and released its locks. The
     ///   install stands in memory but was never acknowledged, and crash
-    ///   recovery's horizon cut may drop it; the post-heal sealing
-    ///   checkpoint re-seals the gap (see `DURABILITY.md` "Group commit").
+    ///   recovery's horizon cut may drop it until the heal's sealing
+    ///   checkpoint covers it. Every later acknowledgment fails too until
+    ///   then (see `DURABILITY.md` "Group commit").
     DurabilityFailed,
 }
 

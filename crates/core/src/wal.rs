@@ -9,10 +9,10 @@
 //! point together with the status CAS.
 //!
 //! [`WalHandle`] is the seam the commit path logs through, and it fronts
-//! one of two sinks:
+//! one of two sinks, fixed when the handle is built:
 //!
-//! * the historical in-memory **ring** ([`WalBuffer`]) — the default, and
-//!   what every monolithic [`crate::Database`] uses;
+//! * the in-memory **ring** ([`WalBuffer`]) — the default, and what every
+//!   monolithic [`crate::Database`] uses;
 //! * a **durable** per-partition segment writer
 //!   ([`bamboo_storage::log::SegmentWriter`]) when
 //!   [`crate::DbOptions::with_wal_dir`] is set on a partitioned database —
@@ -26,8 +26,8 @@
 //!
 //! # Group commit
 //!
-//! Under [`FsyncPolicy::GroupCommit`] the append itself never fsyncs.
-//! Committers log, install, and release their locks immediately (early
+//! The append itself never fsyncs. Under [`FsyncPolicy::GroupCommit`]
+//! committers log, install, and release their locks immediately (early
 //! lock release — sound because the log-before-install ordering means a
 //! dependent's group always lands at a higher LSN than its writer's), then
 //! park on [`WalHandle::wait_covered`]: the first parked committer becomes
@@ -42,10 +42,29 @@
 //! acknowledged commit (see `DURABILITY.md` "Group commit"). The horizon
 //! reads coverage straight off the partitions' watermarks, so no
 //! committer waits for another committer's acknowledgment.
+//!
+//! # Abort markers
+//!
+//! A cross-partition commit whose append fails on a later partition leaves
+//! *orphan* groups on the earlier ones. `WalHandle::log_abort` voids each
+//! orphan with a durable `Abort` record before the commit's timestamp
+//! finishes, so recovery drops the orphan alone instead of cutting every
+//! later commit. A marker that cannot be made durable stays pending on its
+//! handle: the horizon stays below its timestamp until
+//! [`WalHandle::replace_writer`] (the heal path) lands it.
+//!
+//! # Failed batch fsyncs
+//!
+//! A commit whose batch fsync failed is installed, and its group may
+//! vanish from the log later (the kernel may drop a failed write-back's
+//! pages). `DurabilityHorizon::withdraw` keeps it as an *unsealed*
+//! timestamp the horizon stays below, failing every later acknowledgment,
+//! until a checkpoint whose dump holds it lands
+//! (`DurabilityHorizon::seal`; `PartitionedDb::heal` takes one).
 
 use crate::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::cell::RefCell;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::io;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -299,17 +318,6 @@ impl LogMark {
     }
 }
 
-/// Outcome of one [`WalHandle::append_txn`].
-#[derive(Clone, Copy, Debug)]
-pub struct GroupAppend {
-    /// True when every byte of the group is durable on return (always true
-    /// for the ring, which has no crash story to promise).
-    pub durable: bool,
-    /// Just past the group on this partition's log — the coverage target a
-    /// group-commit acknowledgment waits for. Zero on the ring.
-    pub end: LogMark,
-}
-
 /// Group-commit coordinator state: who is leading the current batch fsync
 /// and how many committers are parked waiting to be covered by it.
 #[derive(Default)]
@@ -354,10 +362,10 @@ pub struct WalHandle {
     sink: parking_lot::Mutex<WalSink>,
     /// Set on permanent failure; checked (fail-fast) before every append.
     degraded: AtomicBool,
-    /// Cached sink kind so the append path can pre-encode its group
-    /// without taking the sink lock. Flips ring → durable only through
-    /// [`WalHandle::replace_writer`].
-    durable_kind: AtomicBool,
+    /// Whether the sink is durable (a segment writer, or a poisoned one
+    /// awaiting heal) rather than the ring. Fixed at construction, so the
+    /// append path picks its encoding without taking the sink lock.
+    durable: bool,
     /// Transient faults retried successfully or not (observability).
     io_retries: AtomicU64,
     /// Permanent failures that degraded the handle.
@@ -377,26 +385,33 @@ pub struct WalHandle {
     /// followers can park without blocking the appenders.
     group: Mutex<GroupState>,
     group_cond: Condvar,
+    /// `(txn id, commit ts)` of every abort marker not yet known durable
+    /// (see [`WalHandle::log_abort`]). Lock order: after the sink lock.
+    pending_aborts: Mutex<Vec<(u64, u64)>>,
+    /// The smallest commit timestamp in `pending_aborts`, `u64::MAX` when
+    /// empty. The durability horizon stays below it.
+    abort_floor: AtomicU64,
 }
 
 impl WalHandle {
     fn from_sink(sink: WalSink, degraded: bool) -> Self {
-        let durable_kind = matches!(sink, WalSink::Durable { .. } | WalSink::Poisoned);
-        let durable = match &sink {
+        let mark = match &sink {
             WalSink::Durable { writer, .. } => LogMark::new(0, writer.synced_lsn()),
             _ => LogMark(0),
         };
         WalHandle {
+            durable: !matches!(sink, WalSink::Ring(_)),
             sink: parking_lot::Mutex::new(sink),
             degraded: AtomicBool::new(degraded),
-            durable_kind: AtomicBool::new(durable_kind),
             io_retries: AtomicU64::new(0),
             io_failures: AtomicU64::new(0),
-            durable_mark: AtomicU64::new(durable.0),
+            durable_mark: AtomicU64::new(mark.0),
             retired: Mutex::new(Vec::new()),
             group_fsyncs: AtomicU64::new(0),
             group: Mutex::new(GroupState::default()),
             group_cond: Condvar::new(),
+            pending_aborts: Mutex::new(Vec::new()),
+            abort_floor: AtomicU64::new(u64::MAX),
         }
     }
 
@@ -438,10 +453,7 @@ impl WalHandle {
     /// True when this handle logs to durable segment files (including a
     /// degraded handle whose writer is torn down: the *intent* is durable).
     pub fn is_durable(&self) -> bool {
-        matches!(
-            &*self.sink.lock(),
-            WalSink::Durable { .. } | WalSink::Poisoned
-        )
+        self.durable
     }
 
     /// True when the handle is degraded (writes fail fast; see
@@ -460,9 +472,15 @@ impl WalHandle {
         self.io_failures.load(Ordering::Relaxed)
     }
 
-    /// Heals a degraded durable handle: installs `writer` (freshly opened —
-    /// [`SegmentWriter::open`] already truncated any torn tail) and
-    /// re-admits writes. The commit-group count carries over.
+    /// Heals a degraded durable handle: installs the writer `open` returns
+    /// and re-admits writes. The commit-group count carries over.
+    ///
+    /// The retired writer's buffered bytes are pushed to the OS first, so
+    /// the scan `open` runs ([`SegmentWriter::open`] truncates a torn
+    /// tail) sees every byte the retired writer will ever write. Every
+    /// abort marker left pending by a failure is then landed and synced
+    /// on the new writer; if any step fails the handle stays degraded and
+    /// keeps the markers for the next heal.
     ///
     /// The fresh writer starts a new generation. Its watermark starts at
     /// the end of the log it scanned, which may include bytes whose fsync
@@ -470,14 +488,45 @@ impl WalHandle {
     /// the old generation's final watermark, so those bytes never count as
     /// durable. (The LSN can move *backwards* across a heal: commits
     /// beyond the old watermark were never acknowledged, so nothing is
-    /// retracted.)
-    pub fn replace_writer(&self, writer: SegmentWriter) {
+    /// retracted.) Returns whether the old generation ended past its final
+    /// watermark: the commits logged there can never be acknowledged, and
+    /// only a checkpoint makes them durable.
+    ///
+    /// # Panics
+    ///
+    /// On a ring handle: a handle's sink kind is fixed when it is built.
+    pub fn replace_writer(
+        &self,
+        open: impl FnOnce() -> io::Result<SegmentWriter>,
+    ) -> Result<bool, IoFailure> {
+        assert!(self.durable, "replace_writer on a ring WAL handle");
         let mut sink = self.sink.lock();
-        let records = match &*sink {
-            WalSink::Durable { records, .. } => *records,
-            _ => 0,
+        let (records, end) = match &mut *sink {
+            WalSink::Durable { writer, records } => {
+                writer
+                    .detach_sync()
+                    .map_err(|e| IoFailure::new("retired writer flush", e))?;
+                (*records, writer.lsn())
+            }
+            _ => (0, 0),
         };
+        let mut writer = open().map_err(|e| IoFailure::new("wal open", e))?;
         {
+            let mut held = self.pending_aborts.lock();
+            if !held.is_empty() {
+                for &(txn_id, commit_ts) in held.iter() {
+                    writer
+                        .append_record(&WalRecord::Abort { txn_id, commit_ts })
+                        .map_err(|e| IoFailure::new("abort marker append", e))?;
+                }
+                writer
+                    .sync()
+                    .map_err(|e| IoFailure::new("abort marker fsync", e))?;
+                held.clear();
+                self.publish_abort_floor(&held);
+            }
+        }
+        let unsynced = {
             // A reader that sees the new generation then reads `retired`,
             // so push the old generation's final watermark while holding
             // its lock. `swap`, not `fetch_max`: the old generation's last
@@ -487,16 +536,17 @@ impl WalHandle {
             let old = LogMark(self.durable_mark.swap(next.0, Ordering::AcqRel));
             debug_assert_eq!(old.generation(), retired.len() as u64);
             retired.push(old.lsn());
-        }
+            end > old.lsn()
+        };
         *sink = WalSink::Durable {
             writer: Box::new(writer),
             records,
         };
-        self.durable_kind.store(true, Ordering::Release);
         // Clear the flag only after the sink is swapped: an append racing
         // the heal either fails fast on the flag or serializes behind the
         // sink mutex and lands in the new writer.
         self.degraded.store(false, Ordering::Release);
+        Ok(unsynced)
     }
 
     /// Records a permanent failure: counts it, degrades the handle, and
@@ -512,7 +562,7 @@ impl WalHandle {
     }
 
     /// LSN up to which this partition's log is known durable (advanced by
-    /// group-commit leader fsyncs and strong-policy commit boundaries).
+    /// group-commit leader fsyncs).
     pub fn durable_lsn(&self) -> Lsn {
         self.durable_mark().lsn()
     }
@@ -700,42 +750,19 @@ impl WalHandle {
         }
     }
 
-    /// Appends one commit record in the historical ring format, locking
-    /// the sink for exactly the append. Ring-backed handles only — the
-    /// durable format needs the commit timestamp and partition mask that
-    /// [`WalHandle::append_txn`] carries.
-    pub fn append_commit<'a>(
-        &self,
-        txn_id: u64,
-        writes: impl Iterator<Item = (TableId, RowId, &'a Row)>,
-    ) {
-        match &mut *self.sink.lock() {
-            WalSink::Ring(buf) => buf.append_commit(txn_id, writes),
-            WalSink::Durable { .. } | WalSink::Poisoned => {
-                panic!("append_commit is the ring-only legacy path; use append_txn")
-            }
-        }
-    }
-
     /// Appends one transaction's redo group — its share on this handle's
     /// partition — after the commit point succeeded.
     ///
-    /// * Ring sink: one historical-format record (updates use the row id,
+    /// * Ring sink: one ring-format record (updates use the row id,
     ///   inserts the key; the ring is never read back).
     /// * Durable sink: a `Begin` / writes / `Commit` record group carrying
-    ///   `commit_ts` and `parts_mask`, then the fsync policy runs at the
-    ///   commit boundary.
+    ///   `commit_ts` and `parts_mask`. The whole framed group is encoded
+    ///   into a per-thread buffer *before* the sink lock is taken, so the
+    ///   lock covers only the file write every committer serializes on.
     ///
-    /// Returns a [`GroupAppend`]: `durable: true` when every byte of the
-    /// group is durable on return (always so for the ring, which has no
-    /// crash story to promise), `durable: false` when the group is written
-    /// but the fsync policy deferred the barrier — under
-    /// [`FsyncPolicy::GroupCommit`] the caller later parks on
-    /// [`WalHandle::wait_covered`] with the returned `end` mark.
-    ///
-    /// On a durable sink the whole framed group is encoded into a
-    /// per-thread buffer *before* the sink lock is taken, so the lock
-    /// covers only the file write every committer serializes on.
+    /// Returns the [`LogMark`] just past the group: the coverage target a
+    /// group-commit acknowledgment waits for ([`WalHandle::wait_covered`]).
+    /// Nothing is fsynced here. The mark is zero on the ring.
     ///
     /// Durable I/O errors surface as [`IoFailure`] instead of a panic:
     /// transient faults are retried up to `WAL_IO_ATTEMPTS` times with
@@ -750,69 +777,33 @@ impl WalHandle {
         commit_ts: u64,
         parts_mask: u64,
         writes: impl Iterator<Item = WalWrite<'a>>,
-    ) -> Result<GroupAppend, IoFailure> {
+    ) -> Result<LogMark, IoFailure> {
         if self.is_degraded() {
             return Err(degraded_error("wal append"));
         }
-        if !self.durable_kind.load(Ordering::Acquire) {
-            return match &mut *self.sink.lock() {
-                WalSink::Ring(buf) => {
-                    buf.append_commit(
-                        txn_id,
-                        writes.map(|w| match w {
-                            WalWrite::Update {
-                                table,
-                                row_id,
-                                after,
-                                ..
-                            } => (table, row_id, after),
-                            WalWrite::Insert {
-                                table, key, row, ..
-                            } => (table, key, row),
-                        }),
-                    );
-                    Ok(GroupAppend {
-                        durable: true,
-                        end: LogMark(0),
-                    })
-                }
-                WalSink::Poisoned => Err(degraded_error("wal append")),
-                WalSink::Durable { writer, records } => {
-                    // A heal flipped the sink durable between the kind load
-                    // and the lock: stage under the lock like the historical
-                    // path did (cold — only the append racing the heal).
-                    writer.stage_record(&WalRecord::Begin {
-                        txn_id,
-                        commit_ts,
-                        parts_mask,
-                    });
-                    for w in writes {
-                        match w {
-                            WalWrite::Update {
-                                table, key, after, ..
-                            } => writer.stage_update(table.0, key, after),
-                            WalWrite::Insert {
-                                table,
-                                key,
-                                row,
-                                secondary,
-                            } => writer.stage_insert(
-                                table.0,
-                                key,
-                                row,
-                                secondary.map(|(i, k)| (i as u32, k)),
-                            ),
-                        }
-                    }
-                    writer.stage_record(&WalRecord::Commit { txn_id, commit_ts });
-                    self.land_group(writer, records)
-                }
-            };
+        if !self.durable {
+            if let WalSink::Ring(buf) = &mut *self.sink.lock() {
+                buf.append_commit(
+                    txn_id,
+                    writes.map(|w| match w {
+                        WalWrite::Update {
+                            table,
+                            row_id,
+                            after,
+                            ..
+                        } => (table, row_id, after),
+                        WalWrite::Insert {
+                            table, key, row, ..
+                        } => (table, key, row),
+                    }),
+                );
+            }
+            return Ok(LogMark(0));
         }
-        // Durable fast path: frame the whole Begin / writes / Commit group
-        // into the per-thread buffer before taking the sink lock. The
-        // iterator is consumed exactly once, and retries rewrite the staged
-        // bytes verbatim.
+        // Frame the whole Begin / writes / Commit group into the
+        // per-thread buffer before taking the sink lock. The iterator is
+        // consumed exactly once, and retries rewrite the staged bytes
+        // verbatim.
         GROUP_ENCODE.with(|cell| {
             let (framed, scratch) = &mut *cell.borrow_mut();
             framed.clear();
@@ -847,38 +838,25 @@ impl WalHandle {
             }
             frame_record(framed, scratch, &WalRecord::Commit { txn_id, commit_ts });
             match &mut *self.sink.lock() {
-                WalSink::Ring(buf) => {
-                    // Unreachable in practice (the cached kind never flips
-                    // back to ring); keep the cost model honest anyway.
-                    buf.put(framed);
-                    buf.records += 1;
-                    Ok(GroupAppend {
-                        durable: true,
-                        end: LogMark(0),
-                    })
-                }
-                WalSink::Poisoned => Err(degraded_error("wal append")),
                 WalSink::Durable { writer, records } => {
                     writer.stage_framed(framed);
-                    self.land_group(writer, records)
+                    let end = self.land_group(writer)?;
+                    *records += 1;
+                    Ok(end)
                 }
+                _ => Err(degraded_error("wal append")),
             }
         })
     }
 
-    /// Lands the staged record group and runs the policy's durability
-    /// barrier. Called with the sink lock held (`writer` borrows from it).
-    fn land_group(
-        &self,
-        writer: &mut SegmentWriter,
-        records: &mut u64,
-    ) -> Result<GroupAppend, IoFailure> {
-        // Phase 1: land the group, retrying transients after cutting any
-        // torn prefix back out.
+    /// Lands the staged record group, retrying transients after cutting
+    /// any torn prefix back out, and returns the mark just past it. Called
+    /// with the sink lock held (`writer` borrows from it).
+    fn land_group(&self, writer: &mut SegmentWriter) -> Result<LogMark, IoFailure> {
         let mut attempt = 1;
         loop {
             match writer.flush_group() {
-                Ok(_) => break,
+                Ok(_) => return Ok(LogMark::new(self.durable_mark().generation(), writer.lsn())),
                 Err(e) => {
                     let f = IoFailure::new("wal append", e);
                     if let Err(re) = writer.rewind_partial() {
@@ -898,103 +876,75 @@ impl WalHandle {
                 }
             }
         }
+    }
 
-        // Phase 2: the durability barrier (per fsync policy). GroupCommit
-        // never syncs here — its barrier is the leader fsync in
-        // `wait_covered` — so under that policy phase 2 cannot fail and
-        // every append error stays phase-1 (nothing installed yet).
-        let mut attempt = 1;
-        loop {
-            match writer.commit_boundary() {
-                Ok(durable) => {
-                    *records += 1;
-                    if durable {
-                        self.publish_locked(writer.synced_lsn());
-                    }
-                    return Ok(GroupAppend {
-                        durable,
-                        end: LogMark::new(self.durable_mark().generation(), writer.lsn()),
-                    });
-                }
-                Err(e) => {
-                    let f = IoFailure::new("wal fsync", e);
-                    if f.is_transient() && attempt < WAL_IO_ATTEMPTS {
-                        self.io_retries.fetch_add(1, Ordering::Relaxed);
-                        retry_backoff(attempt);
-                        attempt += 1;
-                        continue;
-                    }
-                    // The group is written but cannot be promised durable,
-                    // and the commit is about to abort: remove it so
-                    // recovery never replays an aborted transaction. If
-                    // even that fails the group's fate is ambiguous —
-                    // degrade either way and let heal + recovery
-                    // re-establish a clean tail.
-                    let _ = writer.abandon_group();
-                    return Err(self.fail(f));
-                }
+    /// Appends `rec` as a single-record group and returns the mark just
+    /// past it (zero on the ring, which keeps no markers).
+    fn append_marker(&self, rec: &WalRecord) -> Result<LogMark, IoFailure> {
+        if self.is_degraded() {
+            return Err(degraded_error("wal append"));
+        }
+        match &mut *self.sink.lock() {
+            WalSink::Durable { writer, .. } => {
+                writer.stage_record(rec);
+                self.land_group(writer)
             }
+            WalSink::Ring(_) => Ok(LogMark(0)),
+            WalSink::Poisoned => Err(degraded_error("wal append")),
         }
     }
 
-    /// Appends a checkpoint marker (durable sinks; a no-op on the ring)
-    /// and returns the sink's current end LSN.
-    pub fn append_checkpoint(&self, stable_ts: u64, cuts: &[Lsn]) -> Result<Lsn, IoFailure> {
-        if self.is_degraded() {
-            return Err(degraded_error("checkpoint append"));
+    /// Appends a checkpoint marker and waits until it is durable (a no-op
+    /// on the ring).
+    pub fn append_checkpoint(&self, stable_ts: u64, cuts: &[Lsn]) -> Result<(), IoFailure> {
+        let mark = self.append_marker(&WalRecord::Checkpoint {
+            stable_ts,
+            cuts: cuts.to_vec(),
+        })?;
+        self.wait_covered(mark)
+    }
+
+    /// Voids `txn_id`'s orphan group on this partition: appends an `Abort`
+    /// marker and waits until it is durable. The commit path calls this
+    /// for every partition that took the transaction's group before a
+    /// later partition's append failed, and before the transaction's
+    /// timestamp finishes on the commit clock — so the durability horizon
+    /// cannot pass the orphan meanwhile.
+    ///
+    /// On failure the marker stays pending: the handle is degraded, the
+    /// horizon stays below `commit_ts`, and [`WalHandle::replace_writer`]
+    /// lands the marker before it re-admits writes.
+    pub(crate) fn log_abort(&self, txn_id: u64, commit_ts: u64) -> Result<(), IoFailure> {
+        // Hold first: a heal racing the append below then lands the marker
+        // itself, so it is never dropped between a failure and the heal.
+        {
+            let mut held = self.pending_aborts.lock();
+            held.push((txn_id, commit_ts));
+            self.publish_abort_floor(&held);
         }
-        match &mut *self.sink.lock() {
-            WalSink::Ring(buf) => Ok(buf.bytes_logged()),
-            WalSink::Poisoned => Err(degraded_error("checkpoint append")),
-            WalSink::Durable { writer, .. } => {
-                let mut attempt = 1;
-                let at = loop {
-                    writer.stage_record(&WalRecord::Checkpoint {
-                        stable_ts,
-                        cuts: cuts.to_vec(),
-                    });
-                    match writer.flush_group() {
-                        Ok(at) => break at,
-                        Err(e) => {
-                            let f = IoFailure::new("checkpoint append", e);
-                            writer.clear_group();
-                            if let Err(re) = writer.rewind_partial() {
-                                return Err(self.fail(IoFailure::new("wal rewind", re)));
-                            }
-                            if f.is_transient() && attempt < WAL_IO_ATTEMPTS {
-                                self.io_retries.fetch_add(1, Ordering::Relaxed);
-                                retry_backoff(attempt);
-                                attempt += 1;
-                                continue;
-                            }
-                            return Err(self.fail(f));
-                        }
-                    }
-                };
-                let mut attempt = 1;
-                loop {
-                    match writer.sync() {
-                        Ok(()) => {
-                            self.publish_locked(writer.synced_lsn());
-                            break;
-                        }
-                        Err(e) => {
-                            let f = IoFailure::new("checkpoint fsync", e);
-                            if f.is_transient() && attempt < WAL_IO_ATTEMPTS {
-                                self.io_retries.fetch_add(1, Ordering::Relaxed);
-                                retry_backoff(attempt);
-                                attempt += 1;
-                                continue;
-                            }
-                            let _ = writer.abandon_group();
-                            return Err(self.fail(f));
-                        }
-                    }
-                }
-                debug_assert!(at < writer.lsn());
-                Ok(writer.lsn())
-            }
-        }
+        self.append_marker(&WalRecord::Abort { txn_id, commit_ts })
+            .and_then(|mark| self.wait_covered(mark))?;
+        let mut held = self.pending_aborts.lock();
+        held.retain(|&(id, _)| id != txn_id);
+        self.publish_abort_floor(&held);
+        Ok(())
+    }
+
+    /// Publishes the smallest pending abort timestamp. Caller holds the
+    /// `pending_aborts` lock, so stores stay in lock order.
+    fn publish_abort_floor(&self, held: &[(u64, u64)]) {
+        let floor = held.iter().map(|&(_, ts)| ts).min().unwrap_or(u64::MAX);
+        // ordering: Release pairs with `abort_floor`'s Acquire load. The
+        // store precedes the commit clock's finish of the orphan's
+        // timestamp, so a horizon advance whose stable sample covers that
+        // timestamp also observes the floor.
+        self.abort_floor.store(floor, Ordering::Release);
+    }
+
+    /// The smallest commit timestamp of an abort marker not yet known
+    /// durable (`u64::MAX` when none): the horizon stays below it.
+    fn abort_floor(&self) -> u64 {
+        self.abort_floor.load(Ordering::Acquire)
     }
 
     /// Forces buffered bytes to disk (durable sinks; a no-op on the ring).
@@ -1089,6 +1039,12 @@ pub struct DurabilityTicket {
 /// off the partitions' [`WalHandle`]s, not reported by the commit's owner,
 /// so no acknowledgment waits for another session to acknowledge.
 ///
+/// A commit whose batch fsync failed stays installed but may be missing
+/// from the log (the kernel may drop the pages of a failed write-back), so
+/// it holds the horizon until a checkpoint whose stable bound covers it
+/// lands (`DurabilityHorizon::seal`): the checkpoint's dump then carries
+/// its effects, and recovery never reads its log again.
+///
 /// The invariant that makes `min(stable, first_pending - 1)` sound:
 /// committers register their timestamp *after* their last log append
 /// succeeds and *before* installing (and before the commit clock marks
@@ -1104,11 +1060,24 @@ pub struct DurabilityHorizon {
     /// Every partition's WAL, indexed by partition. Empty on a monolithic
     /// database, which never registers (see `log_commit`).
     wals: Arc<[Arc<WalHandle>]>,
+    pending: Mutex<Pending>,
+    cond: Condvar,
+}
+
+/// The horizon's lock-protected state.
+#[derive(Default)]
+struct Pending {
     /// Registered commits not yet known durable: `commit_ts -> (partition,
     /// end mark)` of each of its groups. The horizon advances past leading
     /// covered entries.
-    pending: Mutex<BTreeMap<u64, GroupEnds>>,
-    cond: Condvar,
+    groups: BTreeMap<u64, GroupEnds>,
+    /// Withdrawn commits (installed, never durable) that no checkpoint
+    /// covers yet. The horizon stays below the oldest.
+    unsealed: BTreeSet<u64>,
+    /// Stable bound of the newest checkpoint sealed through
+    /// `DurabilityHorizon::seal`: a commit withdrawn at or below it is
+    /// already in that checkpoint's dump.
+    sealed_ts: u64,
 }
 
 impl DurabilityHorizon {
@@ -1119,7 +1088,7 @@ impl DurabilityHorizon {
             durable_ts: AtomicU64::new(0),
             acked: AtomicU64::new(0),
             wals,
-            pending: Mutex::new(BTreeMap::new()),
+            pending: Mutex::new(Pending::default()),
             cond: Condvar::new(),
         }
     }
@@ -1135,23 +1104,44 @@ impl DurabilityHorizon {
         self.acked.load(Ordering::Relaxed)
     }
 
+    /// True while something only a heal or a checkpoint can clear holds
+    /// every later acknowledgment: a withdrawn commit no checkpoint covers
+    /// yet, or an abort marker pending on a degraded partition.
+    pub fn held(&self) -> bool {
+        !self.pending.lock().unsealed.is_empty()
+            || self
+                .wals
+                .iter()
+                .any(|w| w.is_degraded() && w.abort_floor() != u64::MAX)
+    }
+
     /// Registers a committed transaction and the end mark of each of its
     /// groups. Must be called after its last log append succeeded and
     /// before it installs (see the type-level invariant).
     pub(crate) fn register(&self, commit_ts: u64, parts: GroupEnds) {
-        self.pending.lock().insert(commit_ts, parts);
+        self.pending.lock().groups.insert(commit_ts, parts);
     }
 
     /// Withdraws a registered commit that will never be durable (a batch
     /// fsync or a heal lost one of its groups): its acknowledgment fails
-    /// with `DurabilityFailed`, and leaving the entry would wedge every
-    /// later acknowledgment behind a hole that will never fill (the
-    /// durability gap is documented: it closes at the post-heal sealing
-    /// checkpoint). The horizon then advances as far as `stable` (the
-    /// commit clock's stable timestamp) allows.
+    /// with `DurabilityFailed`. It is installed, so unless a sealed
+    /// checkpoint already covers it, it holds the horizon until
+    /// [`DurabilityHorizon::seal`] does.
     pub(crate) fn withdraw(&self, commit_ts: u64, stable: u64) {
         let mut pending = self.pending.lock();
-        pending.remove(&commit_ts);
+        if pending.groups.remove(&commit_ts).is_some() && commit_ts > pending.sealed_ts {
+            pending.unsealed.insert(commit_ts);
+        }
+        self.advance_locked(&mut pending, stable);
+    }
+
+    /// Records that a checkpoint with stable bound `stable_ts` is complete
+    /// on disk: every withdrawn commit at or below it is in its dump, so
+    /// it no longer holds the horizon.
+    pub(crate) fn seal(&self, stable_ts: u64, stable: u64) {
+        let mut pending = self.pending.lock();
+        pending.sealed_ts = pending.sealed_ts.max(stable_ts);
+        pending.unsealed.retain(|&ts| ts > stable_ts);
         self.advance_locked(&mut pending, stable);
     }
 
@@ -1166,7 +1156,10 @@ impl DurabilityHorizon {
     /// or may have dropped its ticket — and withdraws it if they fail.
     /// Only a horizon held back by the commit clock (a committer between
     /// its allocation and its finish) parks; `stable` is re-sampled every
-    /// bounded park.
+    /// bounded park. A horizon held back by an unsealed withdrawn commit,
+    /// or by an abort marker pending on a degraded partition, fails the
+    /// acknowledgment instead: only a heal or a checkpoint clears those,
+    /// and the commit stands, unacknowledged, like a batch-fsync failure.
     pub(crate) fn acknowledge(
         &self,
         ticket: DurabilityTicket,
@@ -1186,7 +1179,7 @@ impl DurabilityHorizon {
             if self.durable_ts() >= commit_ts {
                 break;
             }
-            match pending.first_key_value() {
+            match pending.groups.first_key_value() {
                 // Leading entries are uncovered after the advance.
                 Some((&older, parts)) if older < commit_ts => {
                     let parts = Arc::clone(parts);
@@ -1194,6 +1187,16 @@ impl DurabilityHorizon {
                     if self.drive(&parts).is_err() {
                         self.withdraw(older, stable());
                     }
+                }
+                _ if pending.unsealed.first().is_some_and(|&ts| ts < commit_ts) => {
+                    return Err(degraded_error("unsealed failed commit"));
+                }
+                _ if self
+                    .wals
+                    .iter()
+                    .any(|w| w.abort_floor() < commit_ts && w.is_degraded()) =>
+                {
+                    return Err(degraded_error("abort marker"));
                 }
                 _ => {
                     self.cond.wait_for(&mut pending, GROUP_PARK);
@@ -1221,20 +1224,26 @@ impl DurabilityHorizon {
     }
 
     /// Pops leading covered entries and publishes the new horizon:
-    /// `min(stable, first still-pending timestamp - 1)` — or `stable`
-    /// alone when nothing is pending. Caller holds the `pending` lock.
-    fn advance_locked(&self, pending: &mut BTreeMap<u64, GroupEnds>, stable: u64) {
+    /// `min(stable, first still-pending timestamp - 1, oldest unsealed
+    /// withdrawn timestamp - 1, lowest pending abort marker timestamp -
+    /// 1)`. Caller holds the `pending` lock.
+    fn advance_locked(&self, pending: &mut Pending, stable: u64) {
         while pending
+            .groups
             .first_key_value()
             .is_some_and(|(_, parts)| self.covered(parts))
         {
-            pending.pop_first();
+            pending.groups.pop_first();
         }
-        let limit = pending
-            .keys()
-            .next()
-            .map_or(u64::MAX, |ts| ts.saturating_sub(1));
-        let horizon = stable.min(limit);
+        let blocked = self
+            .wals
+            .iter()
+            .map(|w| w.abort_floor())
+            .chain(pending.groups.keys().next().copied())
+            .chain(pending.unsealed.first().copied())
+            .min()
+            .unwrap_or(u64::MAX);
+        let horizon = stable.min(blocked.saturating_sub(1));
         if horizon > self.durable_ts.load(Ordering::Acquire) {
             // ordering: Release pairs with the Acquire load in
             // `durable_ts`; only written under the `pending` lock, so the
@@ -1354,14 +1363,24 @@ mod tests {
     }
 
     #[test]
-    fn withdrawn_entry_no_longer_blocks_the_horizon() {
+    fn withdrawn_entry_holds_the_horizon_until_a_checkpoint_covers_it() {
         let (h, wals) = horizon(2);
         let _lost = register(&h, 2, &[(0, 100)]);
-        let _t = register(&h, 4, &[(1, 10)]);
+        let t = register(&h, 4, &[(1, 10)]);
         publish(&wals[1], 10);
         assert_eq!(advance(&h, 10), 1);
         h.withdraw(2, 10);
+        assert_eq!(h.durable_ts(), 1, "its group may still vanish");
+        assert!(h.held());
+        assert!(h.acknowledge(t, || 10).is_err(), "later acks fail fast");
+        h.seal(1, 10);
+        assert_eq!(h.durable_ts(), 1, "a checkpoint below it covers nothing");
+        h.seal(3, 10);
         assert_eq!(h.durable_ts(), 10);
+        assert!(!h.held());
+        let _covered = register(&h, 3, &[(0, 200)]);
+        h.withdraw(3, 10);
+        assert_eq!(h.durable_ts(), 10, "already in the sealed checkpoint");
     }
 
     #[test]
@@ -1379,6 +1398,48 @@ mod tests {
     }
 
     #[test]
+    fn horizon_stays_below_a_pending_abort_marker() {
+        let (h, wals) = horizon(2);
+        let t = register(&h, 9, &[(1, 10)]);
+        publish(&wals[1], 10);
+        {
+            let mut held = wals[0].pending_aborts.lock();
+            held.push((77, 6));
+            wals[0].publish_abort_floor(&held);
+        }
+        assert_eq!(advance(&h, 20), 5, "the marker's timestamp holds it back");
+        wals[0].degraded.store(true, Ordering::Release);
+        assert!(
+            h.acknowledge(t, || 20).is_err(),
+            "a marker pending on a degraded partition fails the ack"
+        );
+        {
+            let mut held = wals[0].pending_aborts.lock();
+            held.clear();
+            wals[0].publish_abort_floor(&held);
+        }
+        assert_eq!(advance(&h, 20), 20);
+    }
+
+    #[test]
+    fn heal_scans_bytes_the_retired_writer_still_buffered() {
+        let dir = std::env::temp_dir().join(format!("bamboo-wal-buffered-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let open = || SegmentWriter::open(&dir, 0, FsyncPolicy::Never, 1 << 20);
+        let wal = WalHandle::durable(open().unwrap());
+        // A small group stays in the writer's buffer: no sync pushed it.
+        let end = wal.append_txn(1, 1, 1, std::iter::empty()).unwrap();
+        wal.degraded.store(true, Ordering::Release);
+        assert!(wal.replace_writer(open).unwrap());
+        assert_eq!(
+            wal.current_lsn(),
+            end.lsn(),
+            "the new writer resumes behind every byte the old one wrote"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn heal_starts_a_generation_that_covers_nothing_written_before_it() {
         let dir = std::env::temp_dir().join(format!("bamboo-wal-heal-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -1390,30 +1451,32 @@ mod tests {
         let wal = WalHandle::durable(open());
         let append = |txn: u64| wal.append_txn(txn, txn, 1, std::iter::empty()).unwrap();
         let synced = append(1);
-        assert!(!synced.durable);
-        wal.wait_covered(synced.end).unwrap();
+        wal.wait_covered(synced).unwrap();
         let unsynced = append(2);
-        assert!(!wal.coverage(unsynced.end).unwrap());
+        assert!(!wal.coverage(unsynced).unwrap());
         // Push the group to the OS without syncing it — what a failed
         // fsync leaves behind.
         if let WalSink::Durable { writer, .. } = &mut *wal.sink.lock() {
             let _ = writer.detach_sync().unwrap();
         }
 
-        wal.replace_writer(open());
         assert!(
-            wal.durable_lsn() >= unsynced.end.lsn(),
+            wal.replace_writer(|| Ok(open())).unwrap(),
+            "the old generation ended unsynced"
+        );
+        assert!(
+            wal.durable_lsn() >= unsynced.lsn(),
             "the healed writer resumes past the unsynced group"
         );
-        assert!(wal.coverage(synced.end).unwrap(), "synced before the heal");
+        assert!(wal.coverage(synced).unwrap(), "synced before the heal");
         assert!(
-            wal.coverage(unsynced.end).is_err(),
+            wal.coverage(unsynced).is_err(),
             "a new generation never covers bytes written before it"
         );
-        assert!(wal.wait_covered(unsynced.end).is_err());
+        assert!(wal.wait_covered(unsynced).is_err());
         let fresh = append(3);
-        assert_eq!(fresh.end.generation(), 1);
-        wal.wait_covered(fresh.end).unwrap();
+        assert_eq!(fresh.generation(), 1);
+        wal.wait_covered(fresh).unwrap();
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -24,6 +24,7 @@
 //! | 3    | `Insert`     | table, key, row, optional (index, skey) |
 //! | 4    | `Commit`     | txn id, commit ts |
 //! | 5    | `Checkpoint` | stable ts, per-partition cut LSNs |
+//! | 6    | `Abort`      | txn id, commit ts |
 //!
 //! # LSNs and segments
 //!
@@ -32,9 +33,24 @@
 //! rotation and name replay positions stably. Segment files are named
 //! `wal-p{partition:03}-{index:08}.seg`; each opens with a fixed header
 //! carrying magic, format version, partition id, segment index, the stream
-//! LSN at which the segment starts, and the fsync policy the writer was
-//! configured with (recovery reads the policy back to pick its completeness
-//! rule).
+//! LSN at which the segment starts, and a tag naming the fsync policy the
+//! writer was configured with. The tag is diagnostic only: the scan skips
+//! it, so segments written under since-removed policies still read back.
+//!
+//! # Durability
+//!
+//! The append path never fsyncs. Under [`FsyncPolicy::GroupCommit`] a
+//! group-commit leader makes a batch of appended groups durable with one
+//! [`SegmentWriter::detach_sync`]; under [`FsyncPolicy::Never`] only
+//! rotation (which seals the finished segment) and explicit
+//! [`SegmentWriter::sync`] calls do.
+//!
+//! A writer opened over an existing log (recovery, or a heal after a
+//! failure) resumes in a fresh segment behind the last one. Bytes whose
+//! fsync failed can still vanish from the segment before it, leaving a gap
+//! in the chain; the core crate covers them with a checkpoint before any
+//! later commit is acknowledged, and a scan tolerates a gap that lies
+//! wholly below the cut it starts from.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -42,7 +58,6 @@ use std::fs::{self, File, OpenOptions};
 use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::time::Instant;
 
 use parking_lot::Mutex;
 
@@ -67,33 +82,22 @@ const FORMAT_VERSION: u32 = 1;
 /// index + start LSN + policy tag + policy argument.
 const SEG_HEADER_LEN: u64 = 8 + 4 + 4 + 8 + 8 + 1 + 8;
 
-/// When (if ever) the log writer calls `fsync` on the commit path.
-///
-/// The policy trades commit latency against the durability horizon recovery
-/// can promise: under [`FsyncPolicy::EveryCommit`] every acknowledged commit
-/// survives a crash; under the weaker policies a suffix of acknowledged
-/// commits may be lost, and recovery applies a consistent-prefix cut (see
-/// `DURABILITY.md`).
+/// Whether a commit acknowledgment promises durability.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FsyncPolicy {
-    /// Never fsync: buffered writes only (the OS flushes eventually). The
-    /// in-memory cost profile, plus a real file for post-mortem replay.
+    /// Acks are volatile: buffered writes only (the OS flushes eventually).
+    /// The in-memory cost profile, plus a real file for post-mortem replay.
     Never,
-    /// fsync once per commit, before the commit is acknowledged.
-    EveryCommit,
-    /// fsync once every `n` commits (group commit).
-    GroupEveryN(u32),
-    /// fsync when at least this many milliseconds elapsed since the last.
-    IntervalMs(u64),
-    /// Leader-driven group commit with a durable acknowledgment: committers
-    /// never fsync on their own commit path. They install and release
-    /// immediately after logging, then park on the partition's durability
-    /// watermark; the first parked committer becomes the *leader*, waits up
-    /// to `max_wait_us` microseconds for more committers to join (cutting
-    /// the window short once `max_batch` are parked), and issues one fsync
-    /// covering every group staged so far. Acknowledgments wait for the
-    /// global durability horizon, so — like `EveryCommit` — an acknowledged
-    /// commit always survives a crash, at a fraction of the fsync count.
+    /// Acks are durable. Committers never fsync on their own commit path:
+    /// they install and release immediately after logging, then park on
+    /// the partition's durability watermark; the first parked committer
+    /// becomes the *leader*, waits up to `max_wait_us` microseconds for
+    /// more committers to join (cutting the window short once `max_batch`
+    /// are parked), and issues one fsync covering every group staged so
+    /// far. Acknowledgments wait for the global durability horizon, so an
+    /// acknowledged commit always survives a crash. With `max_batch: 1`
+    /// and `max_wait_us: 0` the leader syncs at once, without waiting for
+    /// joiners.
     GroupCommit {
         /// Batch size that cuts the leader's accumulation window short.
         max_batch: u32,
@@ -104,13 +108,12 @@ pub enum FsyncPolicy {
 }
 
 impl FsyncPolicy {
-    /// Encodes the policy as a (tag, argument) pair for the segment header.
+    /// Encodes the policy as a (tag, argument) pair for the segment
+    /// header. Tags 1–3 belonged to removed policies; readers skip the
+    /// pair, so old segments still scan.
     fn encode(self) -> (u8, u64) {
         match self {
             FsyncPolicy::Never => (0, 0),
-            FsyncPolicy::EveryCommit => (1, 0),
-            FsyncPolicy::GroupEveryN(n) => (2, n as u64),
-            FsyncPolicy::IntervalMs(ms) => (3, ms),
             FsyncPolicy::GroupCommit {
                 max_batch,
                 max_wait_us,
@@ -119,43 +122,6 @@ impl FsyncPolicy {
                 (max_batch as u64) << 32 | max_wait_us.min(u32::MAX as u64),
             ),
         }
-    }
-
-    /// Decodes a (tag, argument) pair written by [`FsyncPolicy::encode`].
-    fn decode(tag: u8, arg: u64) -> Option<Self> {
-        Some(match tag {
-            0 => FsyncPolicy::Never,
-            1 => FsyncPolicy::EveryCommit,
-            2 => FsyncPolicy::GroupEveryN(arg as u32),
-            3 => FsyncPolicy::IntervalMs(arg),
-            4 => FsyncPolicy::GroupCommit {
-                max_batch: (arg >> 32) as u32,
-                max_wait_us: arg & u32::MAX as u64,
-            },
-            _ => return None,
-        })
-    }
-
-    /// True when a commit acknowledgment implies its records are durable —
-    /// under `EveryCommit` because the committer fsynced before returning,
-    /// under `GroupCommit` because the acknowledgment waited for the
-    /// durability horizon.
-    pub fn acks_are_durable(self) -> bool {
-        matches!(
-            self,
-            FsyncPolicy::EveryCommit | FsyncPolicy::GroupCommit { .. }
-        )
-    }
-
-    /// True when recovery may drop incomplete transactions *individually*
-    /// instead of applying the horizon cut. Only `EveryCommit` qualifies:
-    /// it installs after its own fsync, so an incomplete group was never
-    /// installed and nothing can depend on it. `GroupCommit` installs
-    /// *before* durability (early lock release), so a durable dependent of
-    /// a non-durable writer can exist — recovery must cut at the oldest
-    /// incomplete commit timestamp like the weak policies do.
-    pub fn recovery_drops_individually(self) -> bool {
-        matches!(self, FsyncPolicy::EveryCommit)
     }
 }
 
@@ -762,6 +728,15 @@ pub enum WalRecord {
         /// Per-partition high-water LSNs at capture time.
         cuts: Vec<Lsn>,
     },
+    /// Voids a transaction whose group landed on this partition while its
+    /// append to a later partition failed. The transaction never installed,
+    /// so recovery drops it without cutting the history after it.
+    Abort {
+        /// Transaction id (matches the orphaned group's `Begin`).
+        txn_id: u64,
+        /// The commit timestamp (matches the orphaned group's `Begin`).
+        commit_ts: u64,
+    },
 }
 
 // ---------------------------------------------------------------------------
@@ -937,10 +912,7 @@ pub fn frame_record(buf: &mut Vec<u8>, scratch: &mut Vec<u8>, rec: &WalRecord) {
 /// a [`WalRecord`] (the commit hot path borrows the after-image).
 pub fn frame_update(buf: &mut Vec<u8>, scratch: &mut Vec<u8>, table: u32, key: u64, row: &Row) {
     scratch.clear();
-    scratch.push(2);
-    enc_u32(scratch, table);
-    enc_u64(scratch, key);
-    enc_row(scratch, row);
+    enc_update(scratch, table, key, row);
     frame_payload(buf, scratch);
 }
 
@@ -955,19 +927,33 @@ pub fn frame_insert(
     secondary: Option<(u32, u64)>,
 ) {
     scratch.clear();
-    scratch.push(3);
-    enc_u32(scratch, table);
-    enc_u64(scratch, key);
-    enc_row(scratch, row);
+    enc_insert(scratch, table, key, row, secondary);
+    frame_payload(buf, scratch);
+}
+
+/// The `Update` payload: kind byte, table, key, after-image.
+fn enc_update(buf: &mut Vec<u8>, table: u32, key: u64, row: &Row) {
+    buf.push(2);
+    enc_u32(buf, table);
+    enc_u64(buf, key);
+    enc_row(buf, row);
+}
+
+/// The `Insert` payload: kind byte, table, key, row, optional secondary
+/// entry.
+fn enc_insert(buf: &mut Vec<u8>, table: u32, key: u64, row: &Row, secondary: Option<(u32, u64)>) {
+    buf.push(3);
+    enc_u32(buf, table);
+    enc_u64(buf, key);
+    enc_row(buf, row);
     match secondary {
         Some((idx, skey)) => {
-            scratch.push(1);
-            enc_u32(scratch, idx);
-            enc_u64(scratch, skey);
+            buf.push(1);
+            enc_u32(buf, idx);
+            enc_u64(buf, skey);
         }
-        None => scratch.push(0),
+        None => buf.push(0),
     }
-    frame_payload(buf, scratch);
 }
 
 /// Encodes one record's payload (kind byte + body) into `buf`.
@@ -983,31 +969,13 @@ pub fn encode_record(rec: &WalRecord, buf: &mut Vec<u8>) {
             enc_u64(buf, *commit_ts);
             enc_u64(buf, *parts_mask);
         }
-        WalRecord::Update { table, key, row } => {
-            buf.push(2);
-            enc_u32(buf, *table);
-            enc_u64(buf, *key);
-            enc_row(buf, row);
-        }
+        WalRecord::Update { table, key, row } => enc_update(buf, *table, *key, row),
         WalRecord::Insert {
             table,
             key,
             row,
             secondary,
-        } => {
-            buf.push(3);
-            enc_u32(buf, *table);
-            enc_u64(buf, *key);
-            enc_row(buf, row);
-            match secondary {
-                Some((idx, skey)) => {
-                    buf.push(1);
-                    enc_u32(buf, *idx);
-                    enc_u64(buf, *skey);
-                }
-                None => buf.push(0),
-            }
-        }
+        } => enc_insert(buf, *table, *key, row, *secondary),
         WalRecord::Commit { txn_id, commit_ts } => {
             buf.push(4);
             enc_u64(buf, *txn_id);
@@ -1020,6 +988,11 @@ pub fn encode_record(rec: &WalRecord, buf: &mut Vec<u8>) {
             for &c in cuts {
                 enc_u64(buf, c);
             }
+        }
+        WalRecord::Abort { txn_id, commit_ts } => {
+            buf.push(6);
+            enc_u64(buf, *txn_id);
+            enc_u64(buf, *commit_ts);
         }
     }
 }
@@ -1068,6 +1041,10 @@ pub fn decode_record(payload: &[u8]) -> Option<WalRecord> {
             }
             WalRecord::Checkpoint { stable_ts, cuts }
         }
+        6 => WalRecord::Abort {
+            txn_id: c.u64()?,
+            commit_ts: c.u64()?,
+        },
         _ => return None,
     };
     if !c.done() {
@@ -1135,7 +1112,6 @@ struct SegHeader {
     partition: u32,
     index: u64,
     start_lsn: Lsn,
-    policy: FsyncPolicy,
 }
 
 fn parse_segment_header(bytes: &[u8]) -> Option<SegHeader> {
@@ -1149,12 +1125,12 @@ fn parse_segment_header(bytes: &[u8]) -> Option<SegHeader> {
     let partition = c.u32()?;
     let index = c.u64()?;
     let start_lsn = c.u64()?;
-    let policy = FsyncPolicy::decode(c.u8()?, c.u64()?)?;
+    // The policy tag and its argument are diagnostic: skip them.
+    c.take(1 + 8)?;
     Some(SegHeader {
         partition,
         index,
         start_lsn,
-        policy,
     })
 }
 
@@ -1183,12 +1159,8 @@ pub struct SegmentWriter {
     lsn: Lsn,
     /// LSN up to which data is known durable (advanced by `sync`).
     synced_lsn: Lsn,
-    /// Start LSN of the group most recently flushed by `flush_group`.
-    group_start: Lsn,
     /// Framed bytes of the staged (not yet flushed) record group.
     stage: Vec<u8>,
-    commits_since_sync: u32,
-    last_sync: Instant,
     scratch: Vec<u8>,
 }
 
@@ -1222,7 +1194,19 @@ impl SegmentWriter {
         let (next_index, start_lsn) = match segments.last() {
             None => (0, 0),
             Some(_) => {
-                let scan = scan_partition_log_from_with(&*backend, dir, partition, 0)?;
+                // Only the active (last) segment can end in a torn tail:
+                // rotation synced every earlier one. An earlier segment
+                // can still lose bytes whose fsync failed before a heal
+                // moved on to a fresh segment, but a checkpoint covers
+                // those before any later commit is acknowledged, and scans
+                // from its cut skip the gap. So resume behind the last
+                // segment, never at a gap further back.
+                let from = segments
+                    .iter()
+                    .rev()
+                    .find_map(|(_, path)| read_segment_header(&*backend, path))
+                    .map_or(0, |h| h.start_lsn);
+                let scan = scan_partition_log_from_with(&*backend, dir, partition, from)?;
                 // Drop the torn tail (if any) so future scans read through
                 // cleanly to the segments this writer is about to add.
                 truncate_after_with(&*backend, dir, partition, scan.end_lsn)?;
@@ -1245,59 +1229,14 @@ impl SegmentWriter {
             seg_start_lsn: start_lsn,
             lsn: start_lsn,
             synced_lsn: start_lsn,
-            group_start: start_lsn,
             stage: Vec::with_capacity(512),
-            commits_since_sync: 0,
-            last_sync: Instant::now(),
             scratch: Vec::with_capacity(512),
         })
     }
 
     /// Stages one record into the pending group.
     pub fn stage_record(&mut self, rec: &WalRecord) {
-        let mut payload = std::mem::take(&mut self.scratch);
-        payload.clear();
-        encode_record(rec, &mut payload);
-        self.stage_payload(&payload);
-        self.scratch = payload;
-    }
-
-    /// Stages an `Update` record without materializing a [`WalRecord`]
-    /// (the commit hot path borrows the after-image instead of cloning it).
-    pub fn stage_update(&mut self, table: u32, key: u64, row: &Row) {
-        let mut payload = std::mem::take(&mut self.scratch);
-        payload.clear();
-        payload.push(2);
-        enc_u32(&mut payload, table);
-        enc_u64(&mut payload, key);
-        enc_row(&mut payload, row);
-        self.stage_payload(&payload);
-        self.scratch = payload;
-    }
-
-    /// Stages an `Insert` record without materializing a [`WalRecord`].
-    pub fn stage_insert(&mut self, table: u32, key: u64, row: &Row, secondary: Option<(u32, u64)>) {
-        let mut payload = std::mem::take(&mut self.scratch);
-        payload.clear();
-        payload.push(3);
-        enc_u32(&mut payload, table);
-        enc_u64(&mut payload, key);
-        enc_row(&mut payload, row);
-        match secondary {
-            Some((idx, skey)) => {
-                payload.push(1);
-                enc_u32(&mut payload, idx);
-                enc_u64(&mut payload, skey);
-            }
-            None => payload.push(0),
-        }
-        self.stage_payload(&payload);
-        self.scratch = payload;
-    }
-
-    /// Frames one encoded payload into the staging buffer.
-    fn stage_payload(&mut self, payload: &[u8]) {
-        frame_payload(&mut self.stage, payload);
+        frame_record(&mut self.stage, &mut self.scratch, rec);
     }
 
     /// Stages bytes that were already framed with [`frame_payload`] /
@@ -1307,11 +1246,6 @@ impl SegmentWriter {
     /// file write.
     pub fn stage_framed(&mut self, framed: &[u8]) {
         self.stage.extend_from_slice(framed);
-    }
-
-    /// Bytes currently staged and not yet flushed.
-    pub fn staged_bytes(&self) -> usize {
-        self.stage.len()
     }
 
     /// Drops the staged group without writing it (give-up path).
@@ -1345,7 +1279,6 @@ impl SegmentWriter {
         }
         let at = self.lsn;
         self.file.write_all(&self.stage)?;
-        self.group_start = at;
         self.lsn = at + self.stage.len() as u64;
         self.stage.clear();
         Ok(at)
@@ -1371,33 +1304,11 @@ impl SegmentWriter {
     /// retry. Any error here means the segment's tail state is unknown —
     /// the caller must treat it as a permanent failure and degrade.
     pub fn rewind_partial(&mut self) -> io::Result<()> {
-        self.rewind_to(self.lsn)
-    }
-
-    /// Durably removes the group most recently flushed by
-    /// [`SegmentWriter::flush_group`] (failed commit-boundary path: the
-    /// group is written but its durability barrier failed, and the commit
-    /// is being aborted — the group must not survive into recovery). Any
-    /// error leaves the group's fate ambiguous; the caller must degrade.
-    pub fn abandon_group(&mut self) -> io::Result<()> {
-        let target = self.group_start;
-        self.rewind_to(target)?;
-        self.lsn = target;
-        if self.synced_lsn > target {
-            self.synced_lsn = target;
-        }
-        Ok(())
-    }
-
-    /// Truncates the active segment so exactly `[seg_start_lsn, target)`
-    /// frame bytes remain, then re-opens the append handle.
-    fn rewind_to(&mut self, target: Lsn) -> io::Result<()> {
-        debug_assert!(target >= self.seg_start_lsn, "rewind into a sealed segment");
         // Push buffered bytes down so file_len below sees everything this
         // handle ever accepted (a short write's persisted prefix included).
         self.file.flush()?;
         let path = self.dir.join(segment_name(self.partition, self.seg_index));
-        let keep = SEG_HEADER_LEN + (target - self.seg_start_lsn);
+        let keep = SEG_HEADER_LEN + (self.lsn - self.seg_start_lsn);
         let on_disk = self.backend.file_len(&path)?;
         if on_disk < keep {
             // Bytes the writer counted as written never reached the file
@@ -1415,27 +1326,6 @@ impl SegmentWriter {
         }
         self.file = self.backend.open_append(&path)?;
         Ok(())
-    }
-
-    /// Marks the end of one transaction's record group and applies the
-    /// fsync policy. Returns `true` when the group is durable on return
-    /// (i.e. the acknowledgment the caller is about to send is crash-proof).
-    pub fn commit_boundary(&mut self) -> io::Result<bool> {
-        self.commits_since_sync += 1;
-        let due = match self.policy {
-            FsyncPolicy::Never => false,
-            FsyncPolicy::EveryCommit => true,
-            FsyncPolicy::GroupEveryN(n) => self.commits_since_sync >= n.max(1),
-            FsyncPolicy::IntervalMs(ms) => self.last_sync.elapsed().as_millis() as u64 >= ms,
-            // The committer never syncs its own group: the group-commit
-            // leader batches the fsync across the whole parked queue
-            // (`WalHandle::wait_covered` in `bamboo_core`).
-            FsyncPolicy::GroupCommit { .. } => false,
-        };
-        if due {
-            self.sync()?;
-        }
-        Ok(self.synced_lsn == self.lsn)
     }
 
     /// Flushes buffered bytes and fsyncs the active segment.
@@ -1461,11 +1351,7 @@ impl SegmentWriter {
     /// the synced LSN: an older detached sync may finish after a newer
     /// one).
     pub fn mark_synced(&mut self, lsn: Lsn) {
-        if lsn >= self.synced_lsn {
-            self.synced_lsn = lsn;
-            self.commits_since_sync = 0;
-            self.last_sync = Instant::now();
-        }
+        self.synced_lsn = self.synced_lsn.max(lsn);
     }
 
     /// Next LSN to be assigned (= total frame bytes written).
@@ -1517,9 +1403,6 @@ pub struct LogScan {
     pub end_lsn: Lsn,
     /// True when the scan stopped at a torn or corrupt frame.
     pub torn: bool,
-    /// Fsync policy recorded in the newest segment header, if any segment
-    /// exists.
-    pub policy: Option<FsyncPolicy>,
 }
 
 /// Scans partition `p`'s segments in `dir`, decoding records whose LSN is
@@ -1539,7 +1422,6 @@ pub fn scan_partition_log_from_with(
 ) -> io::Result<LogScan> {
     let segments = list_segments_with(backend, dir, partition)?;
     let mut records = Vec::new();
-    let mut policy = None;
     let mut end_lsn = 0;
     let mut torn = false;
     let mut expect_start: Option<Lsn> = None;
@@ -1552,7 +1434,6 @@ pub fn scan_partition_log_from_with(
             *index,
             from_lsn,
             &mut expect_start,
-            &mut policy,
             &mut end_lsn,
             &mut records,
             last_segment,
@@ -1566,7 +1447,6 @@ pub fn scan_partition_log_from_with(
         records,
         end_lsn,
         torn,
-        policy,
     })
 }
 
@@ -1580,7 +1460,6 @@ fn scan_segment(
     index: u64,
     from_lsn: Lsn,
     expect_start: &mut Option<Lsn>,
-    policy: &mut Option<FsyncPolicy>,
     end_lsn: &mut Lsn,
     records: &mut Vec<(Lsn, WalRecord)>,
     tail: bool,
@@ -1595,13 +1474,13 @@ fn scan_segment(
         return Err(());
     }
     // A gap in the chain (missing segment or start-LSN mismatch) ends the
-    // usable stream at the previous segment.
+    // usable stream at the previous segment — unless the gap lies wholly
+    // below the replay cut, which the checkpoint already covers.
     if let Some(expected) = *expect_start {
-        if header.start_lsn != expected {
+        if header.start_lsn != expected && header.start_lsn > from_lsn {
             return Err(());
         }
     }
-    *policy = Some(header.policy);
     *end_lsn = header.start_lsn;
     let data = &bytes[SEG_HEADER_LEN as usize..];
     if !tail && header.start_lsn + data.len() as u64 <= from_lsn {
@@ -2179,6 +2058,10 @@ mod tests {
                 stable_ts: 40,
                 cuts: vec![0, 128, 77],
             },
+            WalRecord::Abort {
+                txn_id: 7,
+                commit_ts: 42,
+            },
         ]
     }
 
@@ -2219,15 +2102,15 @@ mod tests {
         let dir = tmp_dir("roundtrip");
         let recs = sample_records();
         {
-            let mut w = SegmentWriter::open(&dir, 0, FsyncPolicy::EveryCommit, 1 << 20).unwrap();
+            let mut w = SegmentWriter::open(&dir, 0, FsyncPolicy::Never, 1 << 20).unwrap();
             for r in &recs {
                 w.append_record(r).unwrap();
             }
-            assert!(w.commit_boundary().unwrap());
+            w.sync().unwrap();
+            assert_eq!(w.synced_lsn(), w.lsn());
         }
         let scan = scan_partition_log_from(&dir, 0, 0).unwrap();
         assert!(!scan.torn);
-        assert_eq!(scan.policy, Some(FsyncPolicy::EveryCommit));
         let got: Vec<_> = scan.records.iter().map(|(_, r)| r.clone()).collect();
         assert_eq!(got, recs);
         // LSNs are strictly increasing and end_lsn covers the last frame.
@@ -2283,6 +2166,55 @@ mod tests {
         let scan = scan_partition_log_from(&dir, 0, cut).unwrap();
         assert_eq!(scan.records.len(), 10);
         assert!(scan.records.iter().all(|(lsn, _)| *lsn >= cut));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Bytes lost from the tail of an earlier segment (a failed fsync's
+    /// pages, gone at a power cut) leave a gap in the chain. A scan from a
+    /// cut at or past the gap reads on; a scan from below it stops there;
+    /// and re-opening keeps the segments behind the gap.
+    #[test]
+    fn gap_below_the_cut_is_skipped_and_kept() {
+        let dir = tmp_dir("gap");
+        let commit = |i: u64| WalRecord::Commit {
+            txn_id: i,
+            commit_ts: i,
+        };
+        let lost = {
+            let mut w = SegmentWriter::open(&dir, 0, FsyncPolicy::Never, 1 << 20).unwrap();
+            w.append_record(&commit(1)).unwrap();
+            let before = w.lsn();
+            w.append_record(&commit(2)).unwrap();
+            w.sync().unwrap();
+            w.lsn() - before
+        };
+        let cut = {
+            let mut w = SegmentWriter::open(&dir, 0, FsyncPolicy::Never, 1 << 20).unwrap();
+            let cut = w.lsn();
+            w.append_record(&commit(3)).unwrap();
+            w.sync().unwrap();
+            cut
+        };
+        let (_, first) = list_segments(&dir, 0).unwrap().remove(0);
+        let len = fs::metadata(&first).unwrap().len();
+        let f = OpenOptions::new().write(true).open(&first).unwrap();
+        f.set_len(len - lost).unwrap();
+        drop(f);
+
+        let scan = scan_partition_log_from(&dir, 0, cut).unwrap();
+        assert!(!scan.torn);
+        assert_eq!(scan.records.len(), 1);
+        assert!(matches!(
+            scan.records[0].1,
+            WalRecord::Commit { txn_id: 3, .. }
+        ));
+        assert!(scan_partition_log_from(&dir, 0, 0).unwrap().torn);
+
+        let w = SegmentWriter::open(&dir, 0, FsyncPolicy::Never, 1 << 20).unwrap();
+        assert_eq!(w.lsn(), scan.end_lsn, "resumes behind the last segment");
+        drop(w);
+        let scan = scan_partition_log_from(&dir, 0, cut).unwrap();
+        assert_eq!(scan.records.len(), 1, "the segment behind the gap survives");
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -2505,12 +2437,11 @@ mod tests {
                 w.stage_record(r);
             }
             w.flush_group().unwrap();
-            w.commit_boundary().unwrap();
         };
         // Reference: one clean group.
         let clean = tmp_dir("rewind-clean");
         {
-            let mut w = SegmentWriter::open(&clean, 0, FsyncPolicy::EveryCommit, 1 << 20).unwrap();
+            let mut w = SegmentWriter::open(&clean, 0, FsyncPolicy::Never, 1 << 20).unwrap();
             write_group(&mut w);
         }
         // Faulted: a short write tears the first flush; rewind + retry.
@@ -2523,8 +2454,7 @@ mod tests {
             });
             let backend: Arc<dyn LogBackend> = Arc::new(FaultBackend::new(Arc::clone(&inj)));
             let mut w =
-                SegmentWriter::open_with(backend, &torn, 0, FsyncPolicy::EveryCommit, 1 << 20)
-                    .unwrap();
+                SegmentWriter::open_with(backend, &torn, 0, FsyncPolicy::Never, 1 << 20).unwrap();
             inj.arm();
             for r in &recs {
                 w.stage_record(r);
@@ -2533,7 +2463,6 @@ mod tests {
             inj.disarm();
             w.rewind_partial().unwrap();
             w.flush_group().unwrap();
-            w.commit_boundary().unwrap();
         }
         let a = scan_partition_log_from(&clean, 0, 0).unwrap();
         let b = scan_partition_log_from(&torn, 0, 0).unwrap();
@@ -2541,65 +2470,6 @@ mod tests {
         assert_eq!(a.end_lsn, b.end_lsn);
         fs::remove_dir_all(&clean).unwrap();
         fs::remove_dir_all(&torn).unwrap();
-    }
-
-    /// `abandon_group` durably removes a flushed-but-unsynced group: the
-    /// scan sees only what preceded it, and the next group lands at the
-    /// abandoned group's start LSN.
-    #[test]
-    fn abandon_group_removes_it_from_disk() {
-        let dir = tmp_dir("abandon");
-        let mut w = SegmentWriter::open(&dir, 0, FsyncPolicy::EveryCommit, 1 << 20).unwrap();
-        w.stage_record(&WalRecord::Begin {
-            txn_id: 1,
-            commit_ts: 10,
-            parts_mask: 1,
-        });
-        w.stage_record(&WalRecord::Commit {
-            txn_id: 1,
-            commit_ts: 10,
-        });
-        let start = w.flush_group().unwrap();
-        w.commit_boundary().unwrap();
-
-        w.stage_record(&WalRecord::Begin {
-            txn_id: 2,
-            commit_ts: 11,
-            parts_mask: 1,
-        });
-        w.stage_record(&WalRecord::Commit {
-            txn_id: 2,
-            commit_ts: 11,
-        });
-        let doomed = w.flush_group().unwrap();
-        assert!(doomed > start);
-        w.abandon_group().unwrap();
-        assert_eq!(w.lsn(), doomed, "lsn rewound to the abandoned group start");
-
-        w.stage_record(&WalRecord::Begin {
-            txn_id: 3,
-            commit_ts: 12,
-            parts_mask: 1,
-        });
-        w.stage_record(&WalRecord::Commit {
-            txn_id: 3,
-            commit_ts: 12,
-        });
-        w.flush_group().unwrap();
-        w.commit_boundary().unwrap();
-        drop(w);
-
-        let scan = scan_partition_log_from(&dir, 0, 0).unwrap();
-        let ids: Vec<u64> = scan
-            .records
-            .iter()
-            .filter_map(|(_, r)| match r {
-                WalRecord::Begin { txn_id, .. } => Some(*txn_id),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(ids, vec![1, 3], "the abandoned group never replays");
-        fs::remove_dir_all(&dir).unwrap();
     }
 
     /// `retire_segments_below` deletes exactly the sealed segments whose

@@ -10,18 +10,25 @@
 //! * money is conserved, in memory while the faults fire and on disk after
 //!   recovery;
 //! * no acked-but-lost commits: every transfer acknowledged under
-//!   `FsyncPolicy::EveryCommit` survives recovery;
+//!   `FsyncPolicy::GroupCommit` survives recovery, including when a
+//!   cross-partition append fails after an earlier partition took its
+//!   group (the orphan is voided by an `Abort` marker), and when a failed
+//!   batch fsync's group is lost from the file after the heal;
 //! * a poisoned partition serves snapshot reads while degraded and the
-//!   other partitions keep committing;
+//!   other partitions keep installing commits. Their acknowledgments fail
+//!   with `DurabilityFailed` — on every partition — while an abort marker
+//!   is pending or a failed batch member is not yet covered by a
+//!   checkpoint (`PartitionedDb::acks_held`), until `heal` clears it;
 //! * `PartitionedDb::heal` + recovery converge.
 //!
 //! Every test prints its seed (`chaos seed: N`); export
 //! `BAMBOO_CHAOS_SEED=N` to reproduce a failing schedule exactly. The CI
-//! `chaos` job sweeps five fixed seeds in debug and release.
+//! `chaos` job sweeps six fixed seeds in debug and release.
 
 use std::collections::BTreeMap;
+use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use bamboo_repro::core::partition::{PartSession, PartitionedDb};
 use bamboo_repro::core::protocol::{
@@ -29,10 +36,12 @@ use bamboo_repro::core::protocol::{
 };
 use bamboo_repro::core::wal::DurabilityTicket;
 use bamboo_repro::core::{AbortReason, DbOptions, TxnOptions};
-use bamboo_repro::storage::log::FaultInjector;
+use bamboo_repro::storage::log::{
+    scan_partition_log_from, DataSync, FaultInjector, LogFile, RealBackend,
+};
 use bamboo_repro::storage::{
-    DataType, FaultBackend, FaultPlan, FsyncPolicy, PartitionId, RouteStrategy, Row, Schema,
-    TableId, Value,
+    DataType, FaultBackend, FaultPlan, FsyncPolicy, LogBackend, PartitionId, RouteStrategy, Row,
+    Schema, TableId, Value, WalRecord,
 };
 
 const ACCOUNTS_PER_PART: u64 = 8;
@@ -41,7 +50,7 @@ const PARTS: u32 = 2;
 const ACCOUNTS: TableId = TableId(0);
 const LEDGER: TableId = TableId(1);
 
-/// The coordinator parameters used by the group-commit chaos case.
+/// The coordinator parameters every durable chaos case runs.
 const GROUP_POLICY: FsyncPolicy = FsyncPolicy::GroupCommit {
     max_batch: 8,
     max_wait_us: 100,
@@ -186,7 +195,7 @@ fn seeded_fault_fire_preserves_acked_commits_and_money() {
         enospc_permille: 12,
         ..FaultPlan::quiet(seed)
     };
-    let (pdb, injector) = build_faulty(&dir, plan, FsyncPolicy::EveryCommit);
+    let (pdb, injector) = build_faulty(&dir, plan, GROUP_POLICY);
     let proto: Arc<dyn Protocol> = Arc::new(LockingProtocol::bamboo());
     let session = PartSession::new(Arc::clone(&pdb), proto);
 
@@ -263,16 +272,18 @@ fn seeded_fault_fire_preserves_acked_commits_and_money() {
     }
     drop(session);
     drop(pdb);
-    // Recovery options must match the writer's fsync policy: under
-    // `EveryCommit` every acked group was individually fsynced, so the
-    // weak-policy horizon cut does not apply even though orphaned
-    // cross-partition groups sit mid-log.
+    // No checkpoint after the final heal: the acked transfers must come
+    // back from the log. Orphaned cross-partition groups sit mid-log; their
+    // abort markers keep them from cutting the history after them. (A heal
+    // after a batch fsync that exhausted its retries seals the failed
+    // members with a checkpoint; recovery then replays the log after it.)
     let (rec, report) = PartitionedDb::recover(
         DbOptions::new()
             .with_wal_dir(dir.clone())
-            .with_fsync_policy(FsyncPolicy::EveryCommit),
+            .with_fsync_policy(GROUP_POLICY),
     )
     .unwrap_or_else(|e| panic!("recovery after chaos fire (seed {seed}): {e}"));
+    println!("chaos seed {seed}: {report:?}");
 
     let recovered = balances(&rec);
     assert_eq!(
@@ -313,14 +324,15 @@ fn degraded_partition_is_read_only_until_heal() {
     let seed = chaos_seed();
     println!("chaos seed: {seed}");
     let dir = tmp_dir("degrade");
-    // Every fsync fails: the first durable commit exhausts its transient
-    // retries and escalates to a permanent degrade.
+    // Every write tears: the first durable append exhausts its transient
+    // retries and escalates to a permanent degrade before anything
+    // installs.
     let plan = FaultPlan {
         seed,
-        fsync_permille: 1000,
+        short_write_permille: 1000,
         ..FaultPlan::quiet(seed)
     };
-    let (pdb, injector) = build_faulty(&dir, plan, FsyncPolicy::EveryCommit);
+    let (pdb, injector) = build_faulty(&dir, plan, GROUP_POLICY);
     let proto: Arc<dyn Protocol> = Arc::new(LockingProtocol::bamboo());
     let session = PartSession::new(Arc::clone(&pdb), proto);
 
@@ -335,7 +347,7 @@ fn degraded_partition_is_read_only_until_heal() {
     assert!(!pdb.parts()[1].wal().is_degraded());
     assert!(
         pdb.wal_io_retries() >= 2,
-        "transient fsync faults are retried before escalating"
+        "transient write faults are retried before escalating"
     );
     assert!(pdb.wal_io_failures() >= 1);
 
@@ -397,7 +409,7 @@ fn degraded_partition_is_read_only_until_heal() {
     let (rec, _report) = PartitionedDb::recover(
         DbOptions::new()
             .with_wal_dir(dir.clone())
-            .with_fsync_policy(FsyncPolicy::EveryCommit),
+            .with_fsync_policy(GROUP_POLICY),
     )
     .unwrap();
     assert_eq!(balances(&rec), before, "recovery after heal converges");
@@ -423,7 +435,7 @@ fn same_seed_reproduces_the_same_outcomes() {
             enospc_permille: 15,
             ..FaultPlan::quiet(seed)
         };
-        let (pdb, injector) = build_faulty(&dir, plan, FsyncPolicy::EveryCommit);
+        let (pdb, injector) = build_faulty(&dir, plan, GROUP_POLICY);
         let proto: Arc<dyn Protocol> = Arc::new(LockingProtocol::bamboo());
         let session = PartSession::new(Arc::clone(&pdb), proto);
         injector.arm();
@@ -453,9 +465,9 @@ fn same_seed_reproduces_the_same_outcomes() {
 }
 
 /// Group-commit batch-fsync failure: the whole staged batch surfaces
-/// `DurabilityFailed` at *ack* time — the commit points all passed (under
-/// `GroupCommit` the commit boundary never syncs), versions installed and
-/// locks released, so the batch fsync is the first thing that can fail.
+/// `DurabilityFailed` at *ack* time — the commit points all passed (the
+/// append path never syncs), versions installed and locks released, so
+/// the batch fsync is the first thing that can fail.
 /// The failing partition degrades, the sibling keeps committing, and
 /// heal + checkpoint + recovery converge on the installed state.
 #[test]
@@ -524,20 +536,30 @@ fn group_commit_batch_fsync_failure_fails_whole_batch_and_degrades() {
     );
 
     // The sibling partition keeps committing while partition 0 is
-    // degraded — its own group-commit coordinator is unaffected.
+    // degraded — its commit installs — but no acknowledgment passes the
+    // failed batch until a checkpoint covers it: the failed groups may
+    // still vanish from the log.
+    assert!(pdb.acks_held(), "the failed batch holds every later ack");
     {
         let mut txn = session.begin_on(PartitionId(1));
-        txn.update(ACCOUNTS, ACCOUNTS_PER_PART + 1, |r| {
-            r.set(1, Value::I64(r.get_i64(1) - 7))
-        })
-        .and_then(|_| {
-            txn.update(ACCOUNTS, ACCOUNTS_PER_PART + 2, |r| {
-                r.set(1, Value::I64(r.get_i64(1) + 7))
+        let err = txn
+            .update(ACCOUNTS, ACCOUNTS_PER_PART + 1, |r| {
+                r.set(1, Value::I64(r.get_i64(1) - 7))
             })
-        })
-        .and_then(|_| txn.commit())
-        .expect("healthy partition commits while its sibling is degraded");
+            .and_then(|_| {
+                txn.update(ACCOUNTS, ACCOUNTS_PER_PART + 2, |r| {
+                    r.set(1, Value::I64(r.get_i64(1) + 7))
+                })
+            })
+            .and_then(|_| txn.commit())
+            .expect_err("no ack above an unsealed failed batch");
+        assert_eq!(err.0, AbortReason::DurabilityFailed);
     }
+    assert_eq!(
+        balances(&pdb)[&(ACCOUNTS_PER_PART + 1)],
+        INITIAL - 7,
+        "the healthy partition's commit installed"
+    );
 
     // Later tickets on the degraded partition fail fast without parking.
     {
@@ -548,11 +570,12 @@ fn group_commit_batch_fsync_failure_fails_whole_batch_and_degrades() {
             .expect_err("degraded partition must refuse new commits");
     }
 
-    // Heal, recommit, seal with a checkpoint; recovery converges on the
-    // installed state (including the never-acked batch, which the
-    // checkpoint made durable).
+    // Heal (which seals the failed batch with a checkpoint), recommit,
+    // checkpoint; recovery converges on the installed state (including the
+    // never-acked batch, which the checkpoints made durable).
     pdb.heal(PartitionId(0)).expect("disarmed heal succeeds");
     assert_eq!(pdb.degraded_partitions(), 0);
+    assert!(!pdb.acks_held(), "the heal's checkpoint sealed the batch");
     transfer(&session, 100, 0, 1, 3).expect("healed partition commits and acks again");
     pdb.checkpoint().expect("checkpoint after heal");
     let before = balances(&pdb);
@@ -791,10 +814,11 @@ fn durability_failed_abort_releases_locks_under_every_protocol() {
     ];
     for (name, proto) in protocols {
         let dir = tmp_dir(&format!("release-{name}"));
-        // Every fsync fails: the first durable commit is revoked.
+        // Every write fails with ENOSPC: the first durable append fails
+        // permanently and its commit is revoked before anything installs.
         let plan = FaultPlan {
             seed: chaos_seed(),
-            fsync_permille: 1000,
+            enospc_permille: 1000,
             ..FaultPlan::quiet(chaos_seed())
         };
         let injector = FaultInjector::new(plan);
@@ -810,7 +834,7 @@ fn durability_failed_abort_releases_locks_under_every_protocol() {
         b.with_options(
             DbOptions::new()
                 .with_wal_dir(dir.clone())
-                .with_fsync_policy(FsyncPolicy::EveryCommit)
+                .with_fsync_policy(GROUP_POLICY)
                 .with_log_backend(backend),
         );
         let pdb = b.build();
@@ -872,4 +896,376 @@ fn durability_failed_abort_releases_locks_under_every_protocol() {
         }
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+/// Write budgets per partition for [`TargetedBackend`]: `Some(n)` lets `n`
+/// more writes to that partition's segments succeed, then fails every
+/// write with `ENOSPC`; `None` never fails.
+type Budgets = Arc<Mutex<Vec<Option<u64>>>>;
+
+/// Per partition, whether [`TargetedBackend`] fails its segments' fsyncs
+/// with `EIO`.
+type FailingSyncs = Arc<Mutex<Vec<bool>>>;
+
+/// A backend that fails writes to chosen partitions' segments with
+/// `ENOSPC`, or their fsyncs with `EIO` — the deterministic counterpart of
+/// the seeded schedule, for tests that need one exact failure at one exact
+/// append or batch fsync.
+#[derive(Debug)]
+struct TargetedBackend {
+    budgets: Budgets,
+    syncs: FailingSyncs,
+}
+
+struct TargetedFile {
+    inner: Box<dyn LogFile>,
+    partition: Option<usize>,
+    budgets: Budgets,
+    syncs: FailingSyncs,
+}
+
+impl LogFile for TargetedFile {
+    fn write_all(&mut self, buf: &[u8]) -> io::Result<()> {
+        if let Some(p) = self.partition {
+            match &mut self.budgets.lock().unwrap()[p] {
+                Some(0) => return Err(io::Error::from_raw_os_error(28)),
+                Some(n) => *n -= 1,
+                None => {}
+            }
+        }
+        self.inner.write_all(buf)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.inner.flush()
+    }
+
+    fn detach_sync(&mut self) -> io::Result<Arc<dyn DataSync>> {
+        // Push the bytes to the OS first, as a real failed fsync would
+        // leave them: readable now, gone after a power cut.
+        let sync = self.inner.detach_sync()?;
+        if self
+            .partition
+            .is_some_and(|p| self.syncs.lock().unwrap()[p])
+        {
+            return Ok(Arc::new(EioSync));
+        }
+        Ok(sync)
+    }
+}
+
+/// A batch fsync that fails with `EIO`.
+struct EioSync;
+
+impl DataSync for EioSync {
+    fn sync_data(&self) -> io::Result<()> {
+        Err(io::Error::from_raw_os_error(5))
+    }
+}
+
+impl TargetedBackend {
+    fn wrap(&self, path: &Path, inner: Box<dyn LogFile>) -> Box<dyn LogFile> {
+        let name = path.file_name().unwrap().to_string_lossy();
+        let partition = name
+            .strip_prefix("wal-p")
+            .and_then(|rest| rest.get(..3))
+            .map(|p| p.parse().unwrap());
+        Box::new(TargetedFile {
+            inner,
+            partition,
+            budgets: Arc::clone(&self.budgets),
+            syncs: Arc::clone(&self.syncs),
+        })
+    }
+}
+
+impl LogBackend for TargetedBackend {
+    fn create_dir_all(&self, dir: &Path) -> io::Result<()> {
+        RealBackend.create_dir_all(dir)
+    }
+
+    fn list_dir(&self, dir: &Path) -> io::Result<Vec<String>> {
+        RealBackend.list_dir(dir)
+    }
+
+    fn create(&self, path: &Path) -> io::Result<Box<dyn LogFile>> {
+        Ok(self.wrap(path, RealBackend.create(path)?))
+    }
+
+    fn open_append(&self, path: &Path) -> io::Result<Box<dyn LogFile>> {
+        Ok(self.wrap(path, RealBackend.open_append(path)?))
+    }
+
+    fn file_len(&self, path: &Path) -> io::Result<u64> {
+        RealBackend.file_len(path)
+    }
+
+    fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
+        RealBackend.read(path)
+    }
+
+    fn truncate(&self, path: &Path, len: u64) -> io::Result<()> {
+        RealBackend.truncate(path, len)
+    }
+
+    fn remove_file(&self, path: &Path) -> io::Result<()> {
+        RealBackend.remove_file(path)
+    }
+}
+
+/// A range-partitioned accounts-only bank over `parts` partitions on a
+/// [`TargetedBackend`] with no fault set, after its genesis checkpoint.
+fn build_targeted(dir: &Path, parts: u32) -> (Arc<PartitionedDb>, Budgets, FailingSyncs) {
+    let budgets: Budgets = Arc::new(Mutex::new(vec![None; parts as usize]));
+    let syncs: FailingSyncs = Arc::new(Mutex::new(vec![false; parts as usize]));
+    let mut b = PartitionedDb::builder(parts);
+    b.add_table(
+        "accounts",
+        Schema::build()
+            .column("k", DataType::U64)
+            .column("v", DataType::I64),
+        RouteStrategy::Range((1..parts as u64).map(|p| p * ACCOUNTS_PER_PART).collect()),
+    );
+    b.with_options(
+        DbOptions::new()
+            .with_wal_dir(dir.to_path_buf())
+            .with_fsync_policy(GROUP_POLICY)
+            .with_log_backend(Arc::new(TargetedBackend {
+                budgets: Arc::clone(&budgets),
+                syncs: Arc::clone(&syncs),
+            })),
+    );
+    let pdb = b.build();
+    for a in 0..parts as u64 * ACCOUNTS_PER_PART {
+        pdb.insert(
+            ACCOUNTS,
+            a,
+            Row::from(vec![Value::U64(a), Value::I64(INITIAL)]),
+        );
+    }
+    pdb.checkpoint().expect("genesis checkpoint");
+    (pdb, budgets, syncs)
+}
+
+/// Moves `amount` from account `from` to `to` (no ledger row, so the
+/// partitions written are exactly the two accounts' owners), committing
+/// with its acknowledgment deferred.
+fn deferred_move(
+    session: &PartSession,
+    from: u64,
+    to: u64,
+    amount: i64,
+) -> Result<Option<DurabilityTicket>, AbortReason> {
+    let mut txn = session.begin_on(PartitionId(0));
+    txn.update(ACCOUNTS, from, |r| {
+        r.set(1, Value::I64(r.get_i64(1) - amount))
+    })
+    .and_then(|_| {
+        txn.update(ACCOUNTS, to, |r| {
+            r.set(1, Value::I64(r.get_i64(1) + amount))
+        })
+    })
+    .map_err(|e| e.0)?;
+    txn.commit_deferred().map_err(|e| e.0)
+}
+
+/// Like [`deferred_move`], but acknowledged before returning.
+fn acked_move(session: &PartSession, from: u64, to: u64, amount: i64) -> Result<(), AbortReason> {
+    let ticket = deferred_move(session, from, to, amount)?.expect("GroupCommit carries a ticket");
+    session
+        .session(PartitionId(0))
+        .ack_ticket(ticket)
+        .map_err(|e| e.0)
+}
+
+/// Transaction ids voided by `Abort` markers in partition `p`'s log.
+fn abort_markers(dir: &Path, p: u32) -> Vec<u64> {
+    scan_partition_log_from(dir, p, 0)
+        .unwrap()
+        .records
+        .into_iter()
+        .filter_map(|(_, rec)| match rec {
+            WalRecord::Abort { txn_id, .. } => Some(txn_id),
+            _ => None,
+        })
+        .collect()
+}
+
+/// A cross-partition commit whose partition-1 append fails after its
+/// partition-0 group landed leaves an orphan group on partition 0. The
+/// commit path voids it with a durable `Abort` marker, so partition-0
+/// commits after it are acknowledged, and recovery keeps them while
+/// dropping the orphan alone — no horizon cut at the orphan's timestamp.
+#[test]
+fn orphan_group_is_voided_and_later_commits_survive_recovery() {
+    let dir = tmp_dir("orphan");
+    let (pdb, budgets, _) = build_targeted(&dir, 2);
+    let proto: Arc<dyn Protocol> = Arc::new(LockingProtocol::bamboo());
+    let session = PartSession::new(Arc::clone(&pdb), proto);
+
+    budgets.lock().unwrap()[1] = Some(0);
+    let err = acked_move(&session, 1, ACCOUNTS_PER_PART + 1, 9).unwrap_err();
+    assert_eq!(err, AbortReason::DurabilityFailed);
+    assert!(pdb.parts()[1].wal().is_degraded());
+    assert!(!pdb.parts()[0].wal().is_degraded());
+    assert_eq!(abort_markers(&dir, 0).len(), 1, "the orphan is voided");
+
+    for i in 0..3 {
+        acked_move(&session, i, i + 4, 5).expect("partition-0 commits ack past the orphan");
+    }
+    assert_eq!(pdb.group_acks(), 3);
+
+    budgets.lock().unwrap()[1] = None;
+    pdb.heal(PartitionId(1)).expect("heal");
+    let before = balances(&pdb);
+    drop(session);
+    drop(pdb);
+    let (rec, report) = PartitionedDb::recover(
+        DbOptions::new()
+            .with_wal_dir(dir.clone())
+            .with_fsync_policy(GROUP_POLICY),
+    )
+    .unwrap();
+    assert_eq!(report.dropped_aborted, 1, "report: {report:?}");
+    assert_eq!(report.dropped_incomplete, 0, "report: {report:?}");
+    assert_eq!(report.dropped_horizon, 0, "report: {report:?}");
+    assert_eq!(report.replayed_txns, 3, "report: {report:?}");
+    assert_eq!(balances(&rec), before, "the acked commits survive");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// When the orphan's abort marker cannot be written either, the marker
+/// stays pending on its degraded partition: no later commit — even one on
+/// an unrelated healthy partition — is acknowledged until `heal` lands the
+/// marker. Recovery then drops the orphan and keeps everything else.
+#[test]
+fn pending_abort_marker_blocks_later_acks_until_heal() {
+    let dir = tmp_dir("orphan-pending");
+    let (pdb, budgets, _) = build_targeted(&dir, 3);
+    let proto: Arc<dyn Protocol> = Arc::new(LockingProtocol::bamboo());
+    let session = PartSession::new(Arc::clone(&pdb), proto);
+    let p2 = 2 * ACCOUNTS_PER_PART;
+
+    // Partition 0 takes the orphan group, then refuses its marker.
+    *budgets.lock().unwrap() = vec![Some(1), Some(0), None];
+    let err = acked_move(&session, 1, ACCOUNTS_PER_PART + 1, 9).unwrap_err();
+    assert_eq!(err, AbortReason::DurabilityFailed);
+    assert!(pdb.parts()[0].wal().is_degraded());
+    assert!(pdb.parts()[1].wal().is_degraded());
+    assert!(abort_markers(&dir, 0).is_empty(), "the marker never landed");
+
+    // A partition-2 commit installs, but its acknowledgment fails while
+    // the marker is pending.
+    let err = acked_move(&session, p2, p2 + 1, 4).unwrap_err();
+    assert_eq!(err, AbortReason::DurabilityFailed);
+    assert_eq!(pdb.group_acks(), 0, "nothing acks ahead of the marker");
+
+    *budgets.lock().unwrap() = vec![None; 3];
+    pdb.heal(PartitionId(0))
+        .expect("heal lands the pending marker");
+    assert_eq!(abort_markers(&dir, 0).len(), 1);
+    acked_move(&session, p2 + 1, p2 + 2, 3).expect("acks resume after the heal");
+    assert_eq!(pdb.group_acks(), 1);
+
+    pdb.heal(PartitionId(1)).expect("heal");
+    let before = balances(&pdb);
+    drop(session);
+    drop(pdb);
+    let (rec, report) = PartitionedDb::recover(
+        DbOptions::new()
+            .with_wal_dir(dir.clone())
+            .with_fsync_policy(GROUP_POLICY),
+    )
+    .unwrap();
+    assert_eq!(report.dropped_aborted, 1, "report: {report:?}");
+    assert_eq!(report.dropped_horizon, 0, "report: {report:?}");
+    assert_eq!(balances(&rec), before, "report: {report:?}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A commit whose batch fsync failed stays installed, but the kernel may
+/// drop the pages of a failed write-back, so its group can vanish from the
+/// log later — at a power cut long after the heal. Until a checkpoint
+/// covers it, no later commit is acknowledged, even on the healthy
+/// partition; `heal` takes that checkpoint. The test then cuts the failed
+/// group's bytes out of the file, as the power cut would, and every
+/// acknowledged commit still recovers.
+#[test]
+fn failed_fsync_holds_acks_until_a_checkpoint_covers_the_lost_group() {
+    let dir = tmp_dir("lost-group");
+    let (pdb, _, syncs) = build_targeted(&dir, 2);
+    let proto: Arc<dyn Protocol> = Arc::new(LockingProtocol::bamboo());
+    let session = PartSession::new(Arc::clone(&pdb), proto);
+    let wal1 = Arc::clone(pdb.parts()[1].wal());
+
+    // A cross-partition commit: its partition-0 group becomes durable,
+    // its partition-1 group's batch fsync fails.
+    syncs.lock().unwrap()[1] = true;
+    let start = wal1.current_lsn();
+    let ticket = deferred_move(&session, 1, ACCOUNTS_PER_PART + 1, 9)
+        .expect("the commit point passes")
+        .expect("GroupCommit carries a ticket");
+    let lost = wal1.current_lsn() - start;
+    let err = session
+        .session(PartitionId(0))
+        .ack_ticket(ticket)
+        .expect_err("the batch fsync failed");
+    assert_eq!(err.0, AbortReason::DurabilityFailed);
+    assert!(wal1.is_degraded());
+    assert!(pdb.acks_held());
+
+    // A partition-0-local commit installs, but its acknowledgment fails:
+    // recovery could not keep it if the failed group vanished.
+    let err = acked_move(&session, 2, 3, 4).unwrap_err();
+    assert_eq!(err, AbortReason::DurabilityFailed);
+    assert_eq!(pdb.group_acks(), 0, "nothing acks above the failed commit");
+
+    syncs.lock().unwrap()[1] = false;
+    pdb.heal(PartitionId(1))
+        .expect("heal re-opens the log and seals the failed commit");
+    assert!(!pdb.acks_held());
+    acked_move(&session, 4, 5, 3).expect("acks resume after the heal");
+    acked_move(&session, 6, ACCOUNTS_PER_PART + 2, 2).expect("cross-partition acks resume");
+    assert_eq!(pdb.group_acks(), 2);
+    let before = balances(&pdb);
+    drop(session);
+    drop(pdb);
+
+    // The power cut: the failed write-back never reached the disk. The
+    // heal moved partition 1 on to a fresh segment, so the lost bytes are
+    // the tail of the one before it.
+    let mut segments: Vec<PathBuf> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| {
+            p.file_name()
+                .unwrap()
+                .to_string_lossy()
+                .starts_with("wal-p001-")
+        })
+        .collect();
+    segments.sort();
+    let failed = &segments[segments.len() - 2];
+    let len = std::fs::metadata(failed).unwrap().len();
+    std::fs::OpenOptions::new()
+        .write(true)
+        .open(failed)
+        .unwrap()
+        .set_len(len - lost)
+        .unwrap();
+
+    let (rec, report) = PartitionedDb::recover(
+        DbOptions::new()
+            .with_wal_dir(dir.clone())
+            .with_fsync_policy(GROUP_POLICY),
+    )
+    .unwrap();
+    assert_eq!(report.dropped_incomplete, 0, "report: {report:?}");
+    assert_eq!(report.dropped_horizon, 0, "report: {report:?}");
+    assert_eq!(
+        balances(&rec),
+        before,
+        "every acked commit survives the lost group (report: {report:?})"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,6 +1,6 @@
 //! The `kill -9` crash harness: a child process loads a durable bank,
-//! fires transfers under `FsyncPolicy::EveryCommit` and prints an `ACK`
-//! line for every fsync-acknowledged commit; the parent SIGKILLs it in
+//! fires transfers under `FsyncPolicy::GroupCommit` and prints an `ACK`
+//! line for every acknowledged commit; the parent SIGKILLs it in
 //! steady state — so the crash lands at an arbitrary point of the commit
 //! pipeline, possibly mid-append — then recovers the directory and checks:
 //!
@@ -41,17 +41,13 @@ const PARTS: u32 = 2;
 const ACCOUNTS: TableId = TableId(0);
 const LEDGER: TableId = TableId(1);
 
-/// The coordinator parameters used by the group-commit crash variant.
+/// The coordinator parameters every crash variant runs.
 const GROUP_POLICY: FsyncPolicy = FsyncPolicy::GroupCommit {
     max_batch: 8,
     max_wait_us: 100,
 };
 
-fn build_with(
-    dir: &Path,
-    backend: Option<Arc<dyn LogBackend>>,
-    policy: FsyncPolicy,
-) -> Arc<PartitionedDb> {
+fn build_with(dir: &Path, backend: Option<Arc<dyn LogBackend>>) -> Arc<PartitionedDb> {
     let mut b = PartitionedDb::builder(PARTS);
     b.add_table(
         "accounts",
@@ -71,7 +67,7 @@ fn build_with(
     );
     let mut opts = DbOptions::new()
         .with_wal_dir(dir.to_path_buf())
-        .with_fsync_policy(policy);
+        .with_fsync_policy(GROUP_POLICY);
     if let Some(backend) = backend {
         opts = opts.with_log_backend(backend);
     }
@@ -99,7 +95,7 @@ fn child_main(dir: PathBuf, fault_seed: Option<u64>) -> ! {
     let backend = injector
         .as_ref()
         .map(|i| Arc::new(FaultBackend::new(Arc::clone(i))) as Arc<dyn LogBackend>);
-    let pdb = build_with(&dir, backend, FsyncPolicy::EveryCommit);
+    let pdb = build_with(&dir, backend);
     for a in 0..PARTS as u64 * ACCOUNTS_PER_PART {
         pdb.insert(
             ACCOUNTS,
@@ -152,8 +148,9 @@ fn child_main(dir: PathBuf, fault_seed: Option<u64>) -> ! {
             })
             .and_then(|_| txn.commit());
         if committed.is_ok() {
-            // The commit fsynced (EveryCommit): acknowledge it. Flush so
-            // the parent sees the ack before any SIGKILL.
+            // `commit` returned once the durability horizon covered the
+            // commit: acknowledge it. Flush so the parent sees the ack
+            // before any SIGKILL.
             let mut out = stdout.lock();
             writeln!(out, "ACK {seq} {from} {to} {amount}").unwrap();
             out.flush().unwrap();
@@ -179,7 +176,7 @@ fn child_main(dir: PathBuf, fault_seed: Option<u64>) -> ! {
 /// SIGKILL mid-flight may lose staged-but-unacked commits — never acked
 /// ones. That asymmetry is exactly the group-commit contract under test.
 fn child_main_group(dir: PathBuf) -> ! {
-    let pdb = build_with(&dir, None, GROUP_POLICY);
+    let pdb = build_with(&dir, None);
     for a in 0..PARTS as u64 * ACCOUNTS_PER_PART {
         pdb.insert(
             ACCOUNTS,
@@ -255,12 +252,7 @@ fn kill9_crash_preserves_acked_commits() {
     if let Ok(dir) = std::env::var("BAMBOO_CRASH_DIR") {
         child_main(PathBuf::from(dir), None);
     }
-    run_crash_harness(
-        "kill9_crash_preserves_acked_commits",
-        None,
-        FsyncPolicy::EveryCommit,
-        "clean",
-    );
+    run_crash_harness("kill9_crash_preserves_acked_commits", None, "clean");
 }
 
 #[test]
@@ -271,7 +263,6 @@ fn kill9_crash_group_commit_preserves_acked_commits() {
     run_crash_harness(
         "kill9_crash_group_commit_preserves_acked_commits",
         None,
-        GROUP_POLICY,
         "group",
     );
 }
@@ -295,14 +286,13 @@ fn kill9_crash_with_storage_faults_preserves_acked_commits() {
     run_crash_harness(
         "kill9_crash_with_storage_faults_preserves_acked_commits",
         Some(seed),
-        FsyncPolicy::EveryCommit,
         "fault",
     );
 }
 
 /// Parent mode: re-exec this binary as the crash child (filtered to
 /// `test_name`), harvest 50 acks, SIGKILL, recover, verify.
-fn run_crash_harness(test_name: &str, fault_seed: Option<u64>, policy: FsyncPolicy, tag: &str) {
+fn run_crash_harness(test_name: &str, fault_seed: Option<u64>, tag: &str) {
     let dir = std::env::temp_dir().join(format!(
         "bamboo-crash-{}-{tag}-{}",
         std::process::id(),
@@ -346,16 +336,14 @@ fn run_crash_harness(test_name: &str, fault_seed: Option<u64>, policy: FsyncPoli
         acks.len()
     );
 
-    // Recover the directory the child left behind. The recovery options
-    // carry the writer's fsync policy: under `EveryCommit` every acked
-    // group was individually fsynced, so groups drop individually; under
-    // `GroupCommit` locks released before the batch fsync, so recovery
-    // cuts at the durability horizon instead — every ack implies the
-    // whole prefix below it is durable either way.
+    // Recover the directory the child left behind. Locks released before
+    // the batch fsync, so recovery cuts at the oldest incomplete commit;
+    // every ack implies the whole prefix below it is durable (or voided by
+    // an abort marker), so the cut sits above every acked commit.
     let (rec, report) = PartitionedDb::recover(
         DbOptions::new()
             .with_wal_dir(dir.clone())
-            .with_fsync_policy(policy),
+            .with_fsync_policy(GROUP_POLICY),
     )
     .expect("recovery after SIGKILL");
 
@@ -377,7 +365,7 @@ fn run_crash_harness(test_name: &str, fault_seed: Option<u64>, policy: FsyncPoli
         "SIGKILL leaked money (report: {report:?})"
     );
 
-    // 2. Every fsync-acknowledged commit survived.
+    // 2. Every acknowledged commit survived.
     let ledger: BTreeMap<u64, (u64, u64, i64)> = {
         let mut m = BTreeMap::new();
         for p in rec.parts() {

@@ -15,7 +15,7 @@ use bamboo_repro::core::executor::TxnSpec;
 use bamboo_repro::core::partition::{PartSession, PartitionedDb};
 use bamboo_repro::core::protocol::{LockingProtocol, Protocol};
 use bamboo_repro::core::{Abort, DbOptions, Txn};
-use bamboo_repro::storage::log::{SegmentWriter, WalRecord};
+use bamboo_repro::storage::log::{scan_partition_log_from, SegmentWriter, WalRecord};
 use bamboo_repro::storage::{
     DataType, FsyncPolicy, PartitionId, RouteStrategy, Row, Schema, TableId, Value,
 };
@@ -23,6 +23,13 @@ use bamboo_repro::storage::{
 const ACCOUNTS_PER_PART: u64 = 8;
 const INITIAL: i64 = 1000;
 const PARTS: u32 = 2;
+
+/// Durable acknowledgments: every `commit()` returns once its group (and
+/// every commit below it) is fsynced.
+const GROUP_POLICY: FsyncPolicy = FsyncPolicy::GroupCommit {
+    max_batch: 8,
+    max_wait_us: 100,
+};
 
 fn tmp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("bamboo-dur-{}-{}", std::process::id(), tag));
@@ -120,10 +127,19 @@ fn total(pdb: &PartitionedDb, t: TableId) -> i64 {
     state(pdb, t).values().sum()
 }
 
+/// Appends raw records to partition 0's log of a database left in `dir`.
+fn forge(dir: &Path, recs: &[WalRecord]) {
+    let mut w = SegmentWriter::open(dir, 0, FsyncPolicy::Never, 1 << 20).unwrap();
+    for r in recs {
+        w.append_record(r).unwrap();
+    }
+    w.sync().unwrap();
+}
+
 #[test]
 fn genesis_checkpoint_then_recover_restores_loaded_rows() {
     let dir = tmp_dir("genesis");
-    let (pdb, t) = durable_bank(&dir, FsyncPolicy::EveryCommit);
+    let (pdb, t) = durable_bank(&dir, GROUP_POLICY);
     let before = state(&pdb, t);
     drop(pdb);
 
@@ -138,7 +154,7 @@ fn genesis_checkpoint_then_recover_restores_loaded_rows() {
 #[test]
 fn committed_transfers_survive_recovery() {
     let dir = tmp_dir("roundtrip");
-    let (pdb, t) = durable_bank(&dir, FsyncPolicy::EveryCommit);
+    let (pdb, t) = durable_bank(&dir, GROUP_POLICY);
     let n = transfers(&pdb, t, 40, 7);
     assert_eq!(n, 40);
     let before = state(&pdb, t);
@@ -165,7 +181,7 @@ fn committed_transfers_survive_recovery() {
 #[test]
 fn recovering_twice_converges() {
     let dir = tmp_dir("idem");
-    let (pdb, t) = durable_bank(&dir, FsyncPolicy::EveryCommit);
+    let (pdb, t) = durable_bank(&dir, GROUP_POLICY);
     transfers(&pdb, t, 25, 3);
     let before = state(&pdb, t);
     drop(pdb);
@@ -190,7 +206,7 @@ fn recovering_twice_converges() {
 #[test]
 fn checkpoint_skips_replay_prefix() {
     let dir = tmp_dir("prefix");
-    let (pdb, t) = durable_bank(&dir, FsyncPolicy::EveryCommit);
+    let (pdb, t) = durable_bank(&dir, GROUP_POLICY);
     transfers(&pdb, t, 30, 11);
     let mid_ts = pdb.checkpoint().unwrap();
     transfers(&pdb, t, 5, 13);
@@ -214,7 +230,7 @@ fn checkpoint_skips_replay_prefix() {
 #[test]
 fn crash_during_recovery_falls_back_to_previous_checkpoint() {
     let dir = tmp_dir("midcrash");
-    let (pdb, t) = durable_bank(&dir, FsyncPolicy::EveryCommit);
+    let (pdb, t) = durable_bank(&dir, GROUP_POLICY);
     transfers(&pdb, t, 20, 17);
     let before = state(&pdb, t);
     drop(pdb);
@@ -238,12 +254,12 @@ fn crash_during_recovery_falls_back_to_previous_checkpoint() {
 }
 
 /// An unterminated record group at the log tail (crash mid-append) is
-/// dropped: it was never acknowledged, and under `EveryCommit` nothing
-/// after it exists to depend on it.
+/// dropped: it was never acknowledged, and nothing after it exists to
+/// depend on it.
 #[test]
 fn incomplete_tail_group_is_dropped() {
     let dir = tmp_dir("incomplete");
-    let (pdb, t) = durable_bank(&dir, FsyncPolicy::EveryCommit);
+    let (pdb, t) = durable_bank(&dir, GROUP_POLICY);
     transfers(&pdb, t, 10, 23);
     let before = state(&pdb, t);
     let next_ts = before.len() as u64; // any ts above the committed history
@@ -251,21 +267,21 @@ fn incomplete_tail_group_is_dropped() {
 
     // Forge a crash mid-append: a Begin + Update with no Commit on
     // partition 0's log.
-    let mut w = SegmentWriter::open(&dir, 0, FsyncPolicy::EveryCommit, 1 << 20).unwrap();
-    w.append_record(&WalRecord::Begin {
-        txn_id: u64::MAX,
-        commit_ts: 1_000_000 + next_ts,
-        parts_mask: 0b01,
-    })
-    .unwrap();
-    w.append_record(&WalRecord::Update {
-        table: 0,
-        key: 0,
-        row: Row::from(vec![Value::U64(0), Value::I64(-999_999)]),
-    })
-    .unwrap();
-    w.sync().unwrap();
-    drop(w);
+    forge(
+        &dir,
+        &[
+            WalRecord::Begin {
+                txn_id: u64::MAX,
+                commit_ts: 1_000_000 + next_ts,
+                parts_mask: 0b01,
+            },
+            WalRecord::Update {
+                table: 0,
+                key: 0,
+                row: Row::from(vec![Value::U64(0), Value::I64(-999_999)]),
+            },
+        ],
+    );
 
     let (rec, report) = PartitionedDb::recover(DbOptions::new().with_wal_dir(dir.clone())).unwrap();
     assert_eq!(
@@ -283,7 +299,7 @@ fn incomplete_tail_group_is_dropped() {
 #[test]
 fn torn_tail_is_detected_and_skipped() {
     let dir = tmp_dir("torn");
-    let (pdb, t) = durable_bank(&dir, FsyncPolicy::EveryCommit);
+    let (pdb, t) = durable_bank(&dir, GROUP_POLICY);
     transfers(&pdb, t, 15, 29);
     let before = state(&pdb, t);
     drop(pdb);
@@ -342,9 +358,6 @@ fn recover_without_checkpoint_fails_cleanly() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Under the weak policies, a complete-looking transaction above the
-/// oldest incomplete one is discarded by the horizon cut: a lost log
-/// suffix on one partition must not resurrect dependents elsewhere.
 /// `Session::run_many` under `GroupCommit`: the whole batch commits with
 /// early lock release, acks ride the durability horizon, one leader
 /// fsync covers the flight (not one per commit), and recovery replays
@@ -460,6 +473,9 @@ fn dropped_group_commit_ticket_does_not_wedge_later_commits() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A complete-looking transaction above the oldest incomplete one is
+/// discarded by the horizon cut: a lost log suffix on one partition must
+/// not resurrect dependents elsewhere.
 #[test]
 fn weak_policy_horizon_cut_drops_later_transactions() {
     let dir = tmp_dir("horizon");
@@ -475,38 +491,35 @@ fn weak_policy_horizon_cut_drops_later_transactions() {
 
     // Forge an incomplete group with a commit timestamp *below* a forged
     // complete one: the horizon must discard both.
-    let mut w = SegmentWriter::open(&dir, 0, FsyncPolicy::Never, 1 << 20).unwrap();
-    w.append_record(&WalRecord::Begin {
-        txn_id: u64::MAX - 1,
-        commit_ts: 500_000,
-        parts_mask: 0b11, // claims partition 1 too — which has no group
-    })
-    .unwrap();
-    w.append_record(&WalRecord::Commit {
-        txn_id: u64::MAX - 1,
-        commit_ts: 500_000,
-    })
-    .unwrap();
-    // A complete single-partition group above the incomplete one.
-    w.append_record(&WalRecord::Begin {
-        txn_id: u64::MAX,
-        commit_ts: 500_001,
-        parts_mask: 0b01,
-    })
-    .unwrap();
-    w.append_record(&WalRecord::Update {
-        table: 0,
-        key: 1,
-        row: Row::from(vec![Value::U64(1), Value::I64(-777)]),
-    })
-    .unwrap();
-    w.append_record(&WalRecord::Commit {
-        txn_id: u64::MAX,
-        commit_ts: 500_001,
-    })
-    .unwrap();
-    w.sync().unwrap();
-    drop(w);
+    forge(
+        &dir,
+        &[
+            WalRecord::Begin {
+                txn_id: u64::MAX - 1,
+                commit_ts: 500_000,
+                parts_mask: 0b11, // claims partition 1 too — which has no group
+            },
+            WalRecord::Commit {
+                txn_id: u64::MAX - 1,
+                commit_ts: 500_000,
+            },
+            // A complete single-partition group above the incomplete one.
+            WalRecord::Begin {
+                txn_id: u64::MAX,
+                commit_ts: 500_001,
+                parts_mask: 0b01,
+            },
+            WalRecord::Update {
+                table: 0,
+                key: 1,
+                row: Row::from(vec![Value::U64(1), Value::I64(-777)]),
+            },
+            WalRecord::Commit {
+                txn_id: u64::MAX,
+                commit_ts: 500_001,
+            },
+        ],
+    );
 
     let (rec, report) = PartitionedDb::recover(DbOptions::new().with_wal_dir(dir.clone())).unwrap();
     assert_eq!(report.dropped_incomplete, 1);
@@ -537,7 +550,7 @@ fn compaction_retires_sealed_segments_and_recovery_survives() {
     b.with_options(
         DbOptions::new()
             .with_wal_dir(dir.clone())
-            .with_fsync_policy(FsyncPolicy::EveryCommit)
+            .with_fsync_policy(GROUP_POLICY)
             // Tiny segments so the transfer fire seals many of them.
             .with_segment_bytes(512),
     );
@@ -586,7 +599,7 @@ fn compaction_retires_sealed_segments_and_recovery_survives() {
     let (rec, report) = PartitionedDb::recover(
         DbOptions::new()
             .with_wal_dir(dir.clone())
-            .with_fsync_policy(FsyncPolicy::EveryCommit),
+            .with_fsync_policy(GROUP_POLICY),
     )
     .expect("recovery from the compacted log");
     assert_eq!(
@@ -603,4 +616,98 @@ fn compaction_retires_sealed_segments_and_recovery_survives() {
         "the post-checkpoint transfers must come from log replay (report: {report:?})"
     );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// An `Abort` marker drops its orphan on its own: the complete transaction
+/// above it survives instead of falling to a horizon cut at the orphan.
+#[test]
+fn abort_marker_drops_orphan_without_cutting_later_commits() {
+    let dir = tmp_dir("abort-marker");
+    let (pdb, t) = durable_bank(&dir, GROUP_POLICY);
+    transfers(&pdb, t, 10, 41);
+    let mut expected = state(&pdb, t);
+    drop(pdb);
+
+    // An orphan (claims partition 1, which has no group) voided by its
+    // marker, then a complete single-partition commit above it.
+    let (orphan, later) = (u64::MAX - 1, u64::MAX);
+    forge(
+        &dir,
+        &[
+            WalRecord::Begin {
+                txn_id: orphan,
+                commit_ts: 500_000,
+                parts_mask: 0b11,
+            },
+            WalRecord::Update {
+                table: 0,
+                key: 0,
+                row: Row::from(vec![Value::U64(0), Value::I64(-999_999)]),
+            },
+            WalRecord::Commit {
+                txn_id: orphan,
+                commit_ts: 500_000,
+            },
+            WalRecord::Abort {
+                txn_id: orphan,
+                commit_ts: 500_000,
+            },
+            WalRecord::Begin {
+                txn_id: later,
+                commit_ts: 500_001,
+                parts_mask: 0b01,
+            },
+            WalRecord::Update {
+                table: 0,
+                key: 1,
+                row: Row::from(vec![Value::U64(1), Value::I64(-777)]),
+            },
+            WalRecord::Commit {
+                txn_id: later,
+                commit_ts: 500_001,
+            },
+        ],
+    );
+
+    let (rec, report) = PartitionedDb::recover(DbOptions::new().with_wal_dir(dir.clone())).unwrap();
+    assert_eq!(report.dropped_aborted, 1);
+    assert_eq!(report.dropped_incomplete, 0);
+    assert_eq!(report.dropped_horizon, 0);
+    expected.insert(1, -777);
+    assert_eq!(state(&rec, t), expected, "the later commit survives");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Segment headers written under removed fsync policies still scan and
+/// recover: the header's policy tag is skipped, not parsed. Tags 1, 2 and 3
+/// were `EveryCommit`, `GroupEveryN` and `IntervalMs`; an unparsable header
+/// would read as a torn segment and lose its data.
+#[test]
+fn segments_with_removed_policy_tags_still_recover() {
+    // Byte offset of the tag: magic, version, partition, index, start LSN.
+    const TAG_AT: usize = 8 + 4 + 4 + 8 + 8;
+    for tag in 1u8..=3 {
+        let dir = tmp_dir(&format!("legacy-tag-{tag}"));
+        let (pdb, t) = durable_bank(&dir, GROUP_POLICY);
+        transfers(&pdb, t, 12, 43);
+        let before = state(&pdb, t);
+        drop(pdb);
+        for entry in std::fs::read_dir(&dir).unwrap() {
+            let path = entry.unwrap().path();
+            if path.extension().is_some_and(|e| e == "seg") {
+                let mut bytes = std::fs::read(&path).unwrap();
+                bytes[TAG_AT] = tag;
+                std::fs::write(&path, bytes).unwrap();
+            }
+        }
+        for p in 0..PARTS {
+            let scan = scan_partition_log_from(&dir, p, 0).unwrap();
+            assert!(!scan.torn, "tag {tag}: partition {p} scanned as torn");
+        }
+        let (rec, report) =
+            PartitionedDb::recover(DbOptions::new().with_wal_dir(dir.clone())).unwrap();
+        assert_eq!(state(&rec, t), before, "tag {tag}: {report:?}");
+        assert_eq!(report.replayed_txns, 12, "tag {tag}: {report:?}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

@@ -79,6 +79,8 @@ fn record_strategy() -> BoxedStrategy<WalRecord> {
             .prop_map(|(txn_id, commit_ts)| WalRecord::Commit { txn_id, commit_ts }),
         (any::<u64>(), collection::vec(any::<u64>(), 0..8))
             .prop_map(|(stable_ts, cuts)| WalRecord::Checkpoint { stable_ts, cuts }),
+        (any::<u64>(), any::<u64>())
+            .prop_map(|(txn_id, commit_ts)| WalRecord::Abort { txn_id, commit_ts }),
     ]
     .boxed()
 }
@@ -235,7 +237,10 @@ mod fault_schedule {
             b.with_options(
                 DbOptions::new()
                     .with_wal_dir(dir.clone())
-                    .with_fsync_policy(FsyncPolicy::EveryCommit)
+                    .with_fsync_policy(FsyncPolicy::GroupCommit {
+                        max_batch: 8,
+                        max_wait_us: 100,
+                    })
                     .with_log_backend(backend),
             );
             let pdb = b.build();
@@ -285,7 +290,7 @@ mod fault_schedule {
                             prop_assert!(
                                 !in_group,
                                 "partition {} log: Begin inside an open group — a failed \
-                                 group was not rewound/abandoned before the next append",
+                                 group was not rewound before the next append",
                                 p
                             );
                             in_group = true;
@@ -302,10 +307,10 @@ mod fault_schedule {
                                 p
                             );
                         }
-                        WalRecord::Checkpoint { .. } => {
+                        WalRecord::Checkpoint { .. } | WalRecord::Abort { .. } => {
                             prop_assert!(
                                 !in_group,
-                                "partition {} log: checkpoint marker inside a group",
+                                "partition {} log: marker inside a group",
                                 p
                             );
                         }
@@ -318,11 +323,7 @@ mod fault_schedule {
 
             // And the ultimate boundary check: recovery accepts the log
             // and conserves money.
-            let (rec, _report) = PartitionedDb::recover(
-                DbOptions::new()
-                    .with_wal_dir(dir.clone())
-                    .with_fsync_policy(FsyncPolicy::EveryCommit),
-            )
+            let (rec, _report) = PartitionedDb::recover(DbOptions::new().with_wal_dir(dir.clone()))
             .unwrap_or_else(|e| panic!("recovery of the faulted prefix failed: {e}"));
             let mut total = 0i64;
             for part in rec.parts() {

@@ -7,9 +7,9 @@
 //! its snapshot timestamp equals the invariant, even though writers commit
 //! continuously underneath it.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use bamboo_repro::core::executor::{run_bench, BenchConfig, TxnSpec, Workload};
 use bamboo_repro::core::protocol::{LockingProtocol, Protocol, SiloProtocol};
@@ -132,12 +132,18 @@ fn snapshot_reader_is_lock_free_and_consistent_under_write_fire() {
     ] {
         let (db, t) = load();
         let stop = Arc::new(AtomicBool::new(false));
-        let commits: u64 = std::thread::scope(|s| {
+        // The reader scans only once every writer has committed, so the
+        // scans really run under write fire. It waits with a deadline, so a
+        // writer that never commits (or panics first) fails the test
+        // instead of hanging it.
+        let started = AtomicUsize::new(0);
+        let (commits, all_started): (u64, bool) = std::thread::scope(|s| {
             let writers: Vec<_> = (0..3)
                 .map(|w| {
                     let db = Arc::clone(&db);
                     let proto = Arc::clone(&proto);
                     let stop = Arc::clone(&stop);
+                    let started = &started;
                     s.spawn(move || {
                         use rand::SeedableRng;
                         let mut rng = SmallRng::seed_from_u64(1000 + w);
@@ -148,19 +154,32 @@ fn snapshot_reader_is_lock_free_and_consistent_under_write_fire() {
                             let spec = wl.generate(w as usize, &mut rng);
                             session.run(spec.as_ref()).unwrap();
                             commits += 1;
+                            if commits == 1 {
+                                started.fetch_add(1, Ordering::Release);
+                            }
                         }
                         commits
                     })
                 })
                 .collect();
-            // Let the writers stack up retired versions before scanning.
-            std::thread::sleep(Duration::from_millis(10));
-            let reader_session = Session::new(Arc::clone(&db), Arc::clone(&proto));
-            snapshot_scan_loop(&reader_session, t, 300);
+            let deadline = Instant::now() + Duration::from_secs(30);
+            while started.load(Ordering::Acquire) < writers.len() && Instant::now() < deadline {
+                std::thread::yield_now();
+            }
+            let all_started = started.load(Ordering::Acquire) == writers.len();
+            if all_started {
+                let reader_session = Session::new(Arc::clone(&db), Arc::clone(&proto));
+                snapshot_scan_loop(&reader_session, t, 300);
+            }
             stop.store(true, Ordering::Relaxed);
-            writers.into_iter().map(|h| h.join().unwrap()).sum()
+            let commits = writers.into_iter().map(|h| h.join().unwrap()).sum();
+            (commits, all_started)
         });
-        assert!(commits > 0, "{}: writers must make progress", proto.name());
+        assert!(
+            all_started && commits > 0,
+            "{}: writers must make progress",
+            proto.name()
+        );
         assert_eq!(
             db.snapshots.active_count(),
             0,
