@@ -1,19 +1,17 @@
-//! One function per paper figure/table (experiment index in DESIGN.md).
+//! One function per paper figure/table ([`FIGURES`] lists them).
 //!
 //! Every function loads its workload, sweeps the paper's parameter, and
 //! prints the same series the paper plots: throughput and — for the
 //! "runtime analysis" panels — amortized per-commit lock-wait / abort /
-//! commit-wait times. Absolute numbers depend on the host; EXPERIMENTS.md
-//! records the measured *shapes* against the paper's.
+//! commit-wait times. Absolute numbers depend on the host; compare the
+//! *shapes* (who wins, by what factor, where crossovers fall) against the
+//! paper's.
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use bamboo_core::executor::Workload;
 use bamboo_core::model;
-use bamboo_core::protocol::{
-    Ic3Protocol, InteractiveProtocol, LockingProtocol, Protocol, SiloProtocol,
-};
+use bamboo_core::protocol::{Ic3Protocol, LockingProtocol, Protocol, SiloProtocol};
 use bamboo_workload::synthetic::{self, SyntheticConfig, SyntheticWorkload};
 use bamboo_workload::tpcc::{self, TpccConfig, TpccWorkload};
 use bamboo_workload::ycsb::{self, YcsbConfig, YcsbWorkload};
@@ -434,12 +432,23 @@ pub fn model_table() {
     println!("\ngain condition N^2*K^4/(2D^2) < (K-1)/(K+1); A_ww=1/2, A_bb=1/(K+1)");
 }
 
-/// Interactive-mode single protocol comparison used by `sec52`; exposed for
-/// ad-hoc runs.
-pub fn interactive_pair(opts: &RunOpts, rpc: Duration) -> (Arc<dyn Protocol>, Arc<dyn Protocol>) {
-    let _ = opts;
-    (
-        Arc::new(InteractiveProtocol::new(LockingProtocol::bamboo(), rpc)),
-        Arc::new(InteractiveProtocol::new(LockingProtocol::wound_wait(), rpc)),
-    )
-}
+/// A figure subcommand: its name and the function that runs it.
+pub type Figure = (&'static str, fn(&RunOpts));
+
+/// Every figure subcommand of `repro`, in `repro all` order.
+pub const FIGURES: &[Figure] = &[
+    ("model", |_| model_table()),
+    ("sec52", sec52),
+    ("fig3a", fig3a),
+    ("fig3b", fig3b),
+    ("fig4", fig4),
+    ("fig5", fig5),
+    ("fig6", fig6),
+    ("fig7", fig7),
+    ("fig8", fig8),
+    ("readratio", read_ratio),
+    ("fig9", fig9),
+    ("fig10", fig10),
+    ("fig11", fig11),
+    ("ablation", ablation),
+];

@@ -650,7 +650,7 @@ mod tests {
         let src = "let f = std::fs::File::create(&path)?;\n";
         assert!(rules("crates/storage/src/log.rs", src).is_empty());
         // Bench/workload crates are out of scope (they write result files).
-        assert!(rules("crates/bench/src/bin/durability.rs", src).is_empty());
+        assert!(rules("crates/bench/src/durability.rs", src).is_empty());
         // Test scaffolding may touch the filesystem.
         let src = "fn f() {}\n#[cfg(test)]\nmod tests {\n    fn g() { std::fs::remove_dir_all(&d).unwrap(); }\n}\n";
         assert!(rules("crates/core/src/durability.rs", src).is_empty());

@@ -64,32 +64,18 @@ use crate::sync::CachePadded;
 use crate::ts::TsSource;
 use crate::wal::{DurabilityHorizon, WalHandle};
 
-/// Default epoch-tick period: every `EPOCH_COMMITS`-th commit advances the
-/// Silo epoch and republishes the snapshot watermark (the epoch advance
-/// doubles as the watermark publisher, so GC keeps up even when no
-/// snapshot churn refreshes it). Tunable per database through
-/// [`DbOptions::epoch_commits`].
+/// Epoch-tick period: every `EPOCH_COMMITS`-th commit advances the Silo
+/// epoch and republishes the snapshot watermark (the epoch advance doubles
+/// as the watermark publisher, so GC keeps up even when no snapshot churn
+/// refreshes it).
 pub const EPOCH_COMMITS: u64 = 64;
 
-/// Database-level tuning knobs, applied at build time through
+/// Database-level options, applied at build time through
 /// [`DatabaseBuilder::with_options`] (or
 /// [`crate::partition::PartitionedDbBuilder::with_options`]). The defaults
-/// reproduce the historical hard-coded constants, so an un-tuned database
-/// behaves exactly as before the knobs existed.
+/// keep the log in memory.
 #[derive(Clone, Debug)]
 pub struct DbOptions {
-    /// Epoch-tick period: every `epoch_commits`-th commit advances the
-    /// Silo epoch and republishes the snapshot GC watermark. Smaller
-    /// values keep the watermark fresher (tighter version-chain GC) at the
-    /// cost of more registry scans; larger values amortize the scan
-    /// further but let chains run up to one extra epoch of commits long.
-    /// Must be at least 1.
-    pub epoch_commits: u64,
-    /// Version-chain trim threshold: a tuple's chain trims once it
-    /// retains more than this many older versions even when the watermark
-    /// looks unchanged (see
-    /// [`bamboo_storage::VersionChain::install_at_with`]).
-    pub trim_threshold: usize,
     /// Directory for durable per-partition WAL segments. `None` (the
     /// default) keeps the historical in-memory ring: no files, no fsync,
     /// nothing survives the process. Set through
@@ -119,8 +105,6 @@ pub const DEFAULT_SEGMENT_BYTES: u64 = 8 << 20;
 impl Default for DbOptions {
     fn default() -> Self {
         DbOptions {
-            epoch_commits: EPOCH_COMMITS,
-            trim_threshold: bamboo_storage::DEFAULT_TRIM_THRESHOLD,
             wal_dir: None,
             fsync_policy: bamboo_storage::FsyncPolicy::Never,
             segment_bytes: DEFAULT_SEGMENT_BYTES,
@@ -130,21 +114,9 @@ impl Default for DbOptions {
 }
 
 impl DbOptions {
-    /// Default options (the historical constants).
+    /// Default options (in-memory log).
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Sets the epoch-tick period (clamped to at least 1).
-    pub fn with_epoch_commits(mut self, n: u64) -> Self {
-        self.epoch_commits = n.max(1);
-        self
-    }
-
-    /// Sets the version-chain trim threshold.
-    pub fn with_trim_threshold(mut self, n: usize) -> Self {
-        self.trim_threshold = n;
-        self
     }
 
     /// Enables durable WAL segments under `dir` (per-partition files; the
@@ -659,7 +631,7 @@ pub struct Database {
     pub(crate) catalog: Arc<Catalog<TupleCc>>,
     /// Global timestamp source (Wound-Wait priorities).
     pub ts_source: Arc<TsSource>,
-    /// Silo epoch counter (advanced every [`DbOptions::epoch_commits`]
+    /// Silo epoch counter (advanced every [`EPOCH_COMMITS`]
     /// commits; the advance also republishes the snapshot watermark).
     pub epoch: Arc<CachePadded<AtomicU64>>,
     /// MVCC commit clock: versioned installs are tagged with its
@@ -745,12 +717,6 @@ impl Database {
     #[inline]
     pub fn options(&self) -> &DbOptions {
         &self.options
-    }
-
-    /// The version-chain trim threshold installs should use.
-    #[inline]
-    pub fn trim_threshold(&self) -> usize {
-        self.options.trim_threshold
     }
 
     /// True when `table` is replicated on every partition (always false on
@@ -900,7 +866,7 @@ impl Database {
 
     /// Commit-side bookkeeping after a versioned install completes: marks
     /// `commit_ts` finished on the clock and, every
-    /// [`DbOptions::epoch_commits`]-th commit, advances the Silo epoch and
+    /// [`EPOCH_COMMITS`]-th commit, advances the Silo epoch and
     /// republishes the watermark. On a partition, additionally bumps the
     /// partition's commit counter (one relaxed add on a cache-padded slab
     /// owned by this partition).
@@ -911,7 +877,7 @@ impl Database {
             // quiesced reporting paths.
             t.stats[t.me.idx()].commits.fetch_add(1, Ordering::Relaxed);
         }
-        if commit_ts % self.options.epoch_commits == 0 {
+        if commit_ts % EPOCH_COMMITS == 0 {
             self.advance_epoch();
         }
     }
@@ -967,10 +933,7 @@ impl DatabaseBuilder {
             watermark: Arc::new(CachePadded::new(AtomicU64::new(0))),
             txn_ids: Arc::new(CachePadded::new(AtomicU64::new(1))),
             horizon: Arc::new(DurabilityHorizon::new(Arc::new([]))),
-            options: DbOptions {
-                epoch_commits: self.options.epoch_commits.max(1),
-                ..self.options
-            },
+            options: self.options,
             topology: None,
         })
     }
@@ -1075,35 +1038,6 @@ mod tests {
         }
         assert_eq!(db.epoch.load(Ordering::Acquire), e0 + 1);
         assert_eq!(db.gc_watermark(), EPOCH_COMMITS);
-    }
-
-    #[test]
-    fn db_options_tune_epoch_tick_period() {
-        // Defaults reproduce the historical constants.
-        let db = Database::builder().build();
-        assert_eq!(db.options().epoch_commits, EPOCH_COMMITS);
-        assert_eq!(db.trim_threshold(), bamboo_storage::DEFAULT_TRIM_THRESHOLD);
-        // A shorter period ticks the epoch (and republishes the
-        // watermark) proportionally earlier.
-        let mut b = Database::builder();
-        b.with_options(
-            DbOptions::new()
-                .with_epoch_commits(4)
-                .with_trim_threshold(2),
-        );
-        let db = b.build();
-        assert_eq!(db.trim_threshold(), 2);
-        let e0 = db.epoch.load(Ordering::Acquire);
-        for _ in 0..4 {
-            let ts = db.commit_clock.allocate();
-            db.note_commit(ts);
-        }
-        assert_eq!(db.epoch.load(Ordering::Acquire), e0 + 1);
-        assert_eq!(db.gc_watermark(), 4);
-        // A zero period is clamped rather than dividing by zero.
-        let mut b = Database::builder();
-        b.with_options(DbOptions::new().with_epoch_commits(0));
-        assert_eq!(b.build().options().epoch_commits, 1);
     }
 
     #[test]

@@ -485,10 +485,7 @@ impl PartitionedDbBuilder {
         let watermark = Arc::new(CachePadded::new(AtomicU64::new(0)));
         let txn_ids = Arc::new(CachePadded::new(AtomicU64::new(1)));
         let horizon = Arc::new(crate::wal::DurabilityHorizon::new(Arc::clone(&wals)));
-        let options = DbOptions {
-            epoch_commits: self.options.epoch_commits.max(1),
-            ..self.options
-        };
+        let options = self.options;
         let parts = (0..self.partitions)
             .map(|p| {
                 let me = PartitionId(p);
@@ -734,23 +731,19 @@ mod tests {
             Schema::build().column("k", DataType::U64),
             RouteStrategy::Hash,
         );
-        b.with_options(
-            DbOptions::new()
-                .with_epoch_commits(8)
-                .with_trim_threshold(2),
-        );
+        b.with_options(DbOptions::new().with_segment_bytes(4096));
         let pdb = b.build();
         for p in [PartitionId(0), PartitionId(1)] {
-            assert_eq!(pdb.db(p).options().epoch_commits, 8);
-            assert_eq!(pdb.db(p).trim_threshold(), 2);
+            assert_eq!(pdb.db(p).options().segment_bytes, 4096);
         }
-        // The epoch tick fires on the shared clock at the configured period.
-        let db = pdb.db(PartitionId(0));
-        let e0 = db.epoch.load(Ordering::Acquire);
-        for _ in 0..8 {
+        // The epoch tick fires on the shared clock every EPOCH_COMMITS
+        // commits, whichever partitions the commits land on.
+        let e0 = pdb.db(PartitionId(0)).epoch.load(Ordering::Acquire);
+        for i in 0..crate::db::EPOCH_COMMITS {
+            let db = pdb.db(PartitionId(i as u32 % 2));
             let ts = db.commit_clock.allocate();
             db.note_commit(ts);
         }
-        assert_eq!(db.epoch.load(Ordering::Acquire), e0 + 1);
+        assert_eq!(pdb.db(PartitionId(1)).epoch.load(Ordering::Acquire), e0 + 1);
     }
 }

@@ -589,7 +589,6 @@ impl Protocol for Ic3Protocol {
         // Install writes (column-masked) as new committed versions and
         // clear accessor entries and versions.
         let watermark = db.gc_watermark();
-        let trim = db.trim_threshold();
         for i in 0..ctx.accesses.len() {
             let a = &ctx.accesses[i];
             let mut st = a.tuple.meta.ic3.lock();
@@ -599,8 +598,7 @@ impl Protocol for Ic3Protocol {
                 st.versions.retain(|v| v.txn.id != ctx.shared.id);
                 let mut base = a.tuple.read_row();
                 apply_masked(&mut base, &a.local, wmask);
-                a.tuple
-                    .install_versioned_with(base, ctx.commit_ts, watermark, trim);
+                a.tuple.install_versioned(base, ctx.commit_ts, watermark);
                 st.install_seq += 1;
             }
             st.accessors.retain(|e| e.txn.id != ctx.shared.id);

@@ -382,15 +382,8 @@ impl LockingProtocol {
     /// Releases every entry (commit or abort path). On commit, dirty
     /// images install as new committed versions tagged with the
     /// transaction's commit timestamp; `watermark` drives the eager
-    /// version-chain GC and `trim_threshold` its amortization. Returns
-    /// cascaded count.
-    fn release_all(
-        &self,
-        ctx: &mut TxnCtx,
-        committed: bool,
-        watermark: u64,
-        trim_threshold: usize,
-    ) -> usize {
+    /// version-chain GC. Returns cascaded count.
+    fn release_all(&self, ctx: &mut TxnCtx, committed: bool, watermark: u64) -> usize {
         let mut cascaded = 0;
         let commit_ts = ctx.commit_ts;
         for a in ctx.accesses.iter_mut() {
@@ -403,7 +396,6 @@ impl LockingProtocol {
                     row: &a.local,
                     commit_ts,
                     watermark,
-                    trim_threshold,
                 })
             } else {
                 None
@@ -790,7 +782,7 @@ impl Protocol for LockingProtocol {
             }
         }
         apply_inserts(db, ctx);
-        self.release_all(ctx, true, db.gc_watermark(), db.trim_threshold());
+        self.release_all(ctx, true, db.gc_watermark());
         db.note_commit(ctx.commit_ts);
         Ok(())
     }
@@ -843,7 +835,7 @@ impl Protocol for LockingProtocol {
         ctx.shared.set_abort(AbortReason::User);
         ctx.inserts.clear();
         ctx.end_snapshot(db);
-        self.release_all(ctx, false, 0, db.trim_threshold())
+        self.release_all(ctx, false, 0)
     }
 }
 

@@ -206,11 +206,6 @@ pub(crate) fn apply_inserts(db: &Database, ctx: &mut TxnCtx) {
 /// ticket before acknowledging (`Session` ack path); the protocols just
 /// thread it from here into [`TxnCtx::durability`](crate::txn::TxnCtx).
 ///
-/// A monolithic database has no partition table for the horizon to read
-/// watermarks from, so when its session is bound to a durable
-/// group-commit handle the commit waits for the batch fsync here, before
-/// installing, and carries no ticket.
-///
 /// ## Failure semantics
 ///
 /// A durable sink can fail ([`IoFailure`]); the caller — each protocol's
@@ -276,16 +271,15 @@ pub(crate) fn log_commit(
             secondary: i.secondary,
         })
     }
+    // A monolithic database logs to its session's ring: nothing to
+    // register.
     let Some(topo) = db.topology() else {
-        let end = wal.append_txn(
+        wal.append_txn(
             ctx.shared.id,
             ctx.commit_ts,
             1,
             updates(ctx).chain(inserts(ctx)),
         )?;
-        if group_commit && wal.is_durable() {
-            wal.wait_covered(end)?;
-        }
         return Ok(None);
     };
     // Every partition's sink has the same kind.

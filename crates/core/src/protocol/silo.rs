@@ -290,11 +290,10 @@ impl Protocol for SiloProtocol {
         // Phase 3: install write set as new committed versions, bump TIDs,
         // unlock.
         let watermark = db.gc_watermark();
-        let trim = db.trim_threshold();
         for &i in &write_idx {
             let a = &ctx.accesses[i];
             a.tuple
-                .install_versioned_with(a.local.clone(), ctx.commit_ts, watermark, trim);
+                .install_versioned(a.local.clone(), ctx.commit_ts, watermark);
             Self::unlock_with(&a.tuple, new_tid);
         }
         apply_inserts(db, ctx);

@@ -248,10 +248,10 @@ impl Session {
         self
     }
 
-    /// Binds the session to an existing (possibly shared) WAL handle —
-    /// partition-aware sessions point every worker of one partition at
-    /// that partition's WAL segment.
-    pub fn with_wal_handle(mut self, wal: Arc<WalHandle>) -> Self {
+    /// Binds the session to a partition's shared WAL handle: every worker
+    /// of one partition logs to that partition's segment. Crate-private,
+    /// so a durable handle never reaches a monolithic session.
+    pub(crate) fn with_wal_handle(mut self, wal: Arc<WalHandle>) -> Self {
         self.wal = wal;
         self
     }

@@ -47,6 +47,84 @@ pub fn reason_name(i: usize) -> &'static str {
     }
 }
 
+/// Linear sub-buckets per power of two (`2^SUB_BITS`).
+const SUB_BITS: u32 = 4;
+const SUB_BUCKETS: u64 = 1 << SUB_BITS;
+
+/// A log-linear latency histogram in whole microseconds
+/// (HdrHistogram-style): values below 32 µs get a bucket each, and every
+/// power of two above splits into 16 equal sub-buckets, so a percentile
+/// is within 1/16 of the exact value at any scale. Buckets are allocated
+/// up to the largest value recorded.
+#[derive(Clone, Debug, Default)]
+pub struct LatencyHistogram {
+    counts: Vec<u64>,
+    total: u64,
+}
+
+impl LatencyHistogram {
+    /// Bucket of `us`: one per value below 32, then 16 per octave.
+    fn index(us: u64) -> usize {
+        if us < SUB_BUCKETS {
+            return us as usize;
+        }
+        let shift = 63 - us.leading_zeros() - SUB_BITS;
+        ((u64::from(shift) + 1) * SUB_BUCKETS + (us >> shift) - SUB_BUCKETS) as usize
+    }
+
+    /// The largest value bucket `i` holds.
+    fn highest(i: usize) -> u64 {
+        let i = i as u64;
+        if i < SUB_BUCKETS {
+            return i;
+        }
+        let shift = i / SUB_BUCKETS - 1;
+        ((SUB_BUCKETS + i % SUB_BUCKETS) << shift) + ((1 << shift) - 1)
+    }
+
+    /// Records one latency, truncated to whole microseconds; anything
+    /// under 1 µs counts as 1 µs, so a non-empty histogram never reads 0.
+    pub fn record(&mut self, d: Duration) {
+        let i = Self::index((d.as_micros() as u64).max(1));
+        if i >= self.counts.len() {
+            self.counts.resize(i + 1, 0);
+        }
+        self.counts[i] += 1;
+        self.total += 1;
+    }
+
+    /// Number of recorded values.
+    pub fn count(&self) -> u64 {
+        self.total
+    }
+
+    /// Adds every value recorded in `other`.
+    pub fn merge(&mut self, other: &LatencyHistogram) {
+        if other.counts.len() > self.counts.len() {
+            self.counts.resize(other.counts.len(), 0);
+        }
+        for (c, o) in self.counts.iter_mut().zip(&other.counts) {
+            *c += o;
+        }
+        self.total += other.total;
+    }
+
+    /// The nearest-rank `q`-quantile (`0.99` for p99) in microseconds,
+    /// reported as the largest value of its bucket: at most 1/16 above
+    /// the exact value, never below it. 0 when empty.
+    pub fn percentile_us(&self, q: f64) -> u64 {
+        let target = ((self.total as f64 * q).ceil() as u64).max(1);
+        let mut seen = 0;
+        for (i, &c) in self.counts.iter().enumerate() {
+            seen += c;
+            if seen >= target {
+                return Self::highest(i);
+            }
+        }
+        0
+    }
+}
+
 /// Per-worker counters, merged after the run.
 #[derive(Clone, Debug, Default)]
 pub struct WorkerStats {
@@ -74,9 +152,8 @@ pub struct WorkerStats {
     pub max_chain: u64,
     /// Redo-log bytes written.
     pub log_bytes: u64,
-    /// Commit-latency histogram: bucket i counts commits with latency in
-    /// [2^i, 2^{i+1}) microseconds (32 buckets ≈ up to ~1 hour).
-    pub latency_us_log2: [u64; 32],
+    /// Commit latencies of committed attempts.
+    pub latency: LatencyHistogram,
     /// Lock-manager acquisitions across all non-snapshot attempts (lock
     /// table requests, upgrades, Silo write-set locks).
     pub lock_acquisitions: u64,
@@ -90,10 +167,9 @@ pub struct WorkerStats {
     /// read path bypasses the lock manager entirely, so this must be 0 —
     /// benches assert it.
     pub snapshot_lock_acquisitions: u64,
-    /// Latency histogram of snapshot commits, same bucketing as
-    /// [`WorkerStats::latency_us_log2`] (own bucket so 1000-tuple scans do
-    /// not pollute the short-transaction percentiles).
-    pub snapshot_latency_us_log2: [u64; 32],
+    /// Commit latencies of snapshot commits (own histogram so 1000-tuple
+    /// scans do not pollute the short-transaction percentiles).
+    pub snapshot_latency: LatencyHistogram,
     /// Committed transactions whose access set spanned more than one
     /// partition (0 on a monolithic database; also counted in
     /// [`WorkerStats::commits`]). The partition-scaling benches report the
@@ -137,19 +213,13 @@ impl WorkerStats {
     pub fn record_commit(&mut self, wall: Duration) {
         self.commits += 1;
         self.committed_wall += wall;
-        self.latency_us_log2[Self::latency_bucket(wall)] += 1;
+        self.latency.record(wall);
     }
 
     /// Records one committed read-only snapshot attempt (own bucket).
     pub fn record_snapshot_commit(&mut self, wall: Duration) {
         self.snapshot_commits += 1;
-        self.snapshot_latency_us_log2[Self::latency_bucket(wall)] += 1;
-    }
-
-    #[inline]
-    fn latency_bucket(wall: Duration) -> usize {
-        let us = wall.as_micros().max(1) as u64;
-        (63 - us.leading_zeros() as usize).min(31)
+        self.snapshot_latency.record(wall);
     }
 
     /// Accumulates another worker's counters into this one.
@@ -180,10 +250,8 @@ impl WorkerStats {
         self.degraded_partitions = self.degraded_partitions.max(other.degraded_partitions);
         self.group_commit_fsyncs = self.group_commit_fsyncs.max(other.group_commit_fsyncs);
         self.group_commit_acks = self.group_commit_acks.max(other.group_commit_acks);
-        for i in 0..32 {
-            self.latency_us_log2[i] += other.latency_us_log2[i];
-            self.snapshot_latency_us_log2[i] += other.snapshot_latency_us_log2[i];
-        }
+        self.latency.merge(&other.latency);
+        self.snapshot_latency.merge(&other.snapshot_latency);
     }
 }
 
@@ -241,10 +309,11 @@ impl BenchResult {
         }
     }
 
-    /// Approximate latency percentile in microseconds (upper bucket bound),
-    /// e.g. `latency_percentile_us(0.99)` for p99.
+    /// Commit-latency percentile in microseconds, e.g.
+    /// `latency_percentile_us(0.99)` for p99 (within 1/16 of the exact
+    /// value; see [`LatencyHistogram::percentile_us`]).
     pub fn latency_percentile_us(&self, q: f64) -> u64 {
-        Self::percentile_of(&self.totals.latency_us_log2, q)
+        self.totals.latency.percentile_us(q)
     }
 
     /// Commits per second of the read-only snapshot bucket.
@@ -260,9 +329,9 @@ impl BenchResult {
         (self.totals.commits + self.totals.snapshot_commits) as f64 / self.elapsed.as_secs_f64()
     }
 
-    /// Approximate latency percentile of the snapshot-commit bucket.
+    /// Latency percentile of the snapshot-commit bucket, in microseconds.
     pub fn snapshot_latency_percentile_us(&self, q: f64) -> u64 {
-        Self::percentile_of(&self.totals.snapshot_latency_us_log2, q)
+        self.totals.snapshot_latency.percentile_us(q)
     }
 
     /// Fraction of commits whose access set spanned more than one
@@ -273,22 +342,6 @@ impl BenchResult {
         } else {
             self.totals.cross_partition_commits as f64 / self.totals.commits as f64
         }
-    }
-
-    fn percentile_of(hist: &[u64; 32], q: f64) -> u64 {
-        let total: u64 = hist.iter().sum();
-        if total == 0 {
-            return 0;
-        }
-        let target = (total as f64 * q).ceil() as u64;
-        let mut seen = 0;
-        for (i, &c) in hist.iter().enumerate() {
-            seen += c;
-            if seen >= target {
-                return 1u64 << (i + 1);
-            }
-        }
-        u64::MAX
     }
 
     fn per_commit_ms(&self, d: Duration) -> f64 {
@@ -393,12 +446,96 @@ mod latency_tests {
     use super::*;
 
     #[test]
-    fn latency_histogram_buckets_by_log2_micros() {
-        let mut s = WorkerStats::default();
-        s.record_commit(Duration::from_micros(3)); // bucket 1 ([2,4))
-        s.record_commit(Duration::from_micros(1000)); // bucket 9 ([512,1024))
-        assert_eq!(s.latency_us_log2[1], 1);
-        assert_eq!(s.latency_us_log2[9], 1);
+    fn latency_histogram_bucket_layout() {
+        // One bucket per value below 32 µs.
+        for us in 0..32 {
+            assert_eq!(LatencyHistogram::index(us), us as usize);
+            assert_eq!(LatencyHistogram::highest(us as usize), us);
+        }
+        // Then 16 buckets per octave: [32, 64) splits into pairs.
+        assert_eq!(LatencyHistogram::index(32), 32);
+        assert_eq!(LatencyHistogram::index(33), 32);
+        assert_eq!(LatencyHistogram::index(34), 33);
+        assert_eq!(LatencyHistogram::index(63), 47);
+        assert_eq!(LatencyHistogram::index(64), 48);
+        assert_eq!(LatencyHistogram::highest(32), 33);
+        assert_eq!(LatencyHistogram::highest(47), 63);
+        // Buckets tile the whole range: each starts right after the last.
+        for i in 1..976 {
+            let low = LatencyHistogram::highest(i - 1) + 1;
+            assert_eq!(LatencyHistogram::index(low), i);
+            assert_eq!(LatencyHistogram::index(LatencyHistogram::highest(i)), i);
+        }
+        assert_eq!(LatencyHistogram::index(u64::MAX), 975);
+        assert_eq!(LatencyHistogram::highest(975), u64::MAX);
+        // Recording lands in the bucket; sub-microsecond counts as 1 µs.
+        let mut h = LatencyHistogram::default();
+        h.record(Duration::from_nanos(300));
+        h.record(Duration::from_micros(1000));
+        assert_eq!(h.counts[1], 1);
+        assert_eq!(h.counts[LatencyHistogram::index(1000)], 1);
+        assert_eq!(h.count(), 2);
+    }
+
+    /// Exact nearest-rank percentile of a sorted sample.
+    fn exact(sorted: &[u64], q: f64) -> u64 {
+        let rank = ((sorted.len() as f64 * q).ceil() as usize).max(1);
+        sorted[rank - 1]
+    }
+
+    #[test]
+    fn percentiles_within_a_sixteenth_from_1us_to_10s() {
+        // A fixed log-spread sample from 1 µs to 10 s, plus a dense
+        // cluster so repeated values are covered.
+        let mut sample: Vec<u64> = (0..=4000)
+            .map(|k| 10f64.powf(7.0 * k as f64 / 4000.0) as u64)
+            .collect();
+        sample.extend((0..2000).map(|k| 700 + k % 37));
+        let mut h = LatencyHistogram::default();
+        for &us in &sample {
+            h.record(Duration::from_micros(us));
+        }
+        sample.sort_unstable();
+        assert_eq!(*sample.first().unwrap(), 1);
+        assert_eq!(*sample.last().unwrap(), 10_000_000);
+        for q in [0.0, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999, 1.0] {
+            let (got, want) = (h.percentile_us(q), exact(&sample, q));
+            assert!(got >= want, "q={q}: {got} below exact {want}");
+            assert!(
+                (got - want) * 16 <= want,
+                "q={q}: {got} more than 1/16 above exact {want}"
+            );
+        }
+    }
+
+    #[test]
+    fn merge_is_additive_and_empty_reads_zero() {
+        let empty = LatencyHistogram::default();
+        assert_eq!(empty.count(), 0);
+        assert_eq!(empty.percentile_us(0.5), 0);
+        assert_eq!(empty.percentile_us(0.99), 0);
+        let (mut a, mut b, mut both) = Default::default();
+        let record = |h: &mut LatencyHistogram, us: u64| h.record(Duration::from_micros(us));
+        for us in [1, 5, 40, 900] {
+            record(&mut a, us);
+            record(&mut both, us);
+        }
+        for us in [3, 70_000, 2_000_000] {
+            record(&mut b, us);
+            record(&mut both, us);
+        }
+        let mut merged: LatencyHistogram = a.clone();
+        merged.merge(&b);
+        assert_eq!(merged.count(), 7);
+        for q in [0.1, 0.3, 0.5, 0.7, 0.9, 1.0] {
+            assert_eq!(merged.percentile_us(q), both.percentile_us(q));
+        }
+        // Merging an empty histogram changes nothing, in either direction.
+        let mut e = LatencyHistogram::default();
+        e.merge(&a);
+        a.merge(&LatencyHistogram::default());
+        assert_eq!((e.count(), e.percentile_us(0.5)), (4, a.percentile_us(0.5)));
+        assert_eq!(a.count(), 4);
     }
 
     #[test]

@@ -432,7 +432,7 @@ impl WalHandle {
 
     /// Wraps a durable segment writer (one per partition; see
     /// [`crate::DbOptions::with_wal_dir`]).
-    pub fn durable(writer: SegmentWriter) -> Self {
+    pub(crate) fn durable(writer: SegmentWriter) -> Self {
         Self::from_sink(
             WalSink::Durable {
                 writer: Box::new(writer),
@@ -446,7 +446,7 @@ impl WalHandle {
     /// append fails fast with [`IoFailure`] until healed. Lets a
     /// partitioned database come up (serving snapshot reads and the other
     /// partitions' writes) even when one partition's log is unopenable.
-    pub fn poisoned() -> Self {
+    pub(crate) fn poisoned() -> Self {
         Self::from_sink(WalSink::Poisoned, true)
     }
 
@@ -1058,7 +1058,8 @@ pub struct DurabilityHorizon {
     /// (observability).
     acked: AtomicU64,
     /// Every partition's WAL, indexed by partition. Empty on a monolithic
-    /// database, which never registers (see `log_commit`).
+    /// database: its sessions log to an in-memory ring, which hands out no
+    /// tickets, so nothing registers.
     wals: Arc<[Arc<WalHandle>]>,
     pending: Mutex<Pending>,
     cond: Condvar,

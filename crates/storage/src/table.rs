@@ -66,21 +66,6 @@ impl<M> Tuple<M> {
         self.data.write().install_at(row, commit_ts, watermark);
     }
 
-    /// [`Tuple::install_versioned`] with an explicit version-chain trim
-    /// threshold (the database-level `DbOptions::trim_threshold` knob).
-    #[inline]
-    pub fn install_versioned_with(
-        &self,
-        row: Row,
-        commit_ts: u64,
-        watermark: u64,
-        trim_threshold: usize,
-    ) {
-        self.data
-            .write()
-            .install_at_with(row, commit_ts, watermark, trim_threshold);
-    }
-
     /// The newest version visible at snapshot timestamp `snap`, or `None`
     /// when the tuple was inserted after the snapshot was taken.
     #[inline]

@@ -35,11 +35,9 @@ use crate::row::Row;
 /// Commit timestamp of loader-inserted rows: visible to every snapshot.
 pub const TS_LOADER: u64 = 0;
 
-/// Default retained-version count above which [`VersionChain::install_at`]
-/// trims even if the watermark looks unchanged — bounds per-install trim
-/// work while keeping idle chains short. Tunable per database through
-/// `bamboo_core`'s `DbOptions::trim_threshold` (installs then go through
-/// [`VersionChain::install_at_with`]).
+/// Retained-version count above which [`VersionChain::install_at`] trims
+/// even if the watermark looks unchanged — bounds per-install trim work
+/// while keeping idle chains short.
 pub const DEFAULT_TRIM_THRESHOLD: usize = 8;
 
 /// A tuple's committed image plus its retained older versions.
@@ -102,25 +100,11 @@ impl VersionChain {
     /// last trim. On the hot path (watermark republished every epoch tick,
     /// chain short) the install is a plain push.
     pub fn install_at(&mut self, row: Row, commit_ts: u64, watermark: u64) {
-        self.install_at_with(row, commit_ts, watermark, DEFAULT_TRIM_THRESHOLD);
-    }
-
-    /// [`VersionChain::install_at`] with an explicit trim threshold (the
-    /// database-level `DbOptions::trim_threshold` knob): the chain trims
-    /// once it retains more than `trim_threshold` older versions, or when
-    /// `watermark` advanced since the last trim.
-    pub fn install_at_with(
-        &mut self,
-        row: Row,
-        commit_ts: u64,
-        watermark: u64,
-        trim_threshold: usize,
-    ) {
         let ts = commit_ts.max(self.latest_ts + 1);
         let prev = std::mem::replace(&mut self.latest, row);
         self.older.push((self.latest_ts, prev));
         self.latest_ts = ts;
-        if self.older.len() > trim_threshold || watermark > self.last_trim_wm {
+        if self.older.len() > DEFAULT_TRIM_THRESHOLD || watermark > self.last_trim_wm {
             self.gc(watermark);
         }
     }
@@ -300,20 +284,23 @@ mod tests {
     }
 
     #[test]
-    fn custom_trim_threshold_bounds_the_backlog() {
-        // DbOptions::trim_threshold reaches the chain through
-        // install_at_with: with a threshold of 2 the dead-version backlog
-        // that accumulates while the watermark sits still is swept several
-        // installs earlier than under the default of 8.
+    fn trim_threshold_bounds_the_backlog() {
+        // While the watermark sits still, dead versions pile up to the
+        // threshold without a scan; the push past it sweeps them all.
         let mut c = VersionChain::new(row(0));
-        c.install_at_with(row(1), 10, 100, 2); // wm 100 > 0: trims, wm=100
+        c.install_at(row(1), 10, 1000); // wm 1000 > 0: trims, wm=1000
         assert_eq!(c.retained(), 0);
-        c.install_at_with(row(2), 20, 100, 2); // push (1 retained, dead)
-        c.install_at_with(row(3), 30, 100, 2); // push (2 retained, dead)
-        assert_eq!(c.retained(), 2, "below threshold: no scan, backlog grows");
+        for i in 1..=DEFAULT_TRIM_THRESHOLD as u64 {
+            c.install_at(row(1 + i as i64), 10 + 10 * i, 1000); // push, dead
+        }
+        assert_eq!(
+            c.retained(),
+            DEFAULT_TRIM_THRESHOLD,
+            "at the threshold: no scan, backlog grows"
+        );
         // The next push exceeds the threshold: the trim runs even though
         // the watermark has not moved since the last sweep.
-        c.install_at_with(row(4), 40, 100, 2);
+        c.install_at(row(99), 500, 1000);
         assert_eq!(c.retained(), 0, "threshold tripped the deferred sweep");
     }
 

@@ -167,8 +167,8 @@ fn snapshot_transactions_counted_in_their_own_bucket() {
     assert!(res.totals.snapshot_commits > 0, "snapshot bucket empty");
     // Snapshot latency histogram filled exactly per snapshot commit; the
     // main histogram holds exactly the locking commits.
-    let snap_hist: u64 = res.totals.snapshot_latency_us_log2.iter().sum();
-    let main_hist: u64 = res.totals.latency_us_log2.iter().sum();
+    let snap_hist = res.totals.snapshot_latency.count();
+    let main_hist = res.totals.latency.count();
     assert_eq!(snap_hist, res.totals.snapshot_commits);
     assert_eq!(main_hist, res.totals.commits);
     // Lock accounting split: writers acquire locks, snapshots never.
